@@ -158,7 +158,7 @@ let of_string s =
     let sum = Syswire.R.str r in
     if Syswire.R.remaining r <> 0 then
       raise (Syswire.Fail (Syswire.Corrupt "trailing bytes"));
-    if not (String.equal sum (Digest.string (String.sub s 0 body_len))) then
+    if not (String.equal sum (Digest.substring s 0 body_len)) then
       raise (Syswire.Fail (Syswire.Corrupt "checksum mismatch"));
     Ok { header; events; verdict }
   with Syswire.Fail e -> Error e

@@ -1,7 +1,8 @@
 (* Multi-host world: conservative-parallel (PDES) shard runner.
 
-   Each simulated host is a shard that owns a whole kernel — processes,
-   scheduler, event queue, VFS, network — outright. The only cross-host
+   Each simulated host owns a whole kernel — processes, scheduler, event
+   queue, VFS, network — outright, and each shard (one domain) runs a
+   contiguous block of hosts. The only cross-host
    state is the set of typed [Link]s between the per-host [Hostnet]
    gateways, and every link carries a fixed positive latency that doubles
    as the conservative synchronizer's lookahead.
@@ -14,11 +15,12 @@
         cannot send, before F_i") and execution bounds bound_i ("no
         message host i has not yet seen can arrive before bound_i") —
         see the two modes below
-     3. drain every inbound message with at < bound_i, in canonical
-        (at, src host, link seq) order, scheduling each as a pre-lane
-        local event at its delivery time
-     4. every shard runs its hosts' events strictly below bound_i
-        ([Sched.run_before]); barrier; repeat until every E_i is infinite.
+     3. every shard takes its hosts in turn: it drains the host's inbound
+        messages with at < bound_i, scheduling each as a pre-lane local
+        event at its delivery time so they run in canonical (at, src
+        host, link seq) order, then runs the host's events strictly below
+        bound_i ([Sched.run_before])
+     4. barrier; repeat until every E_i is infinite.
 
    [Fixed] mode is the single-latency bound: F_i = min(E_i, min_j E_j + L)
    and bound_i = min over j <> i of F_j + L, over all host pairs (the
@@ -70,22 +72,40 @@
    bounds are computed.
 
    Every drained message is additionally checked against the destination
-   kernel's clock — a conservative violation raises immediately instead
-   of silently reordering, so the property tests (and every production
-   run) have teeth.
+   kernel's clock — a conservative violation raises [Conservative_violation]
+   immediately instead of silently reordering, so the property tests (and
+   every production run) have teeth.
+
+   Placement and draining: host i runs on shard [shard_of ~n ~shards i] =
+   i * shards / n, contiguous blocks. The topology builders number linked
+   hosts next to each other (a herd cell is hosts 2c and 2c+1), so most
+   link traffic stays inside one domain. Each shard drains its own hosts'
+   inbound links at the start of its parallel phase, host by host, right
+   before running that host. That is safe while other shards run: a
+   sender executing concurrently acts at or after its S_ji, so it can only
+   append messages with at >= bound_i, and it appends them to the tail of
+   a FIFO that is already ordered by [at]. The drained prefix is therefore
+   a pure function of virtual time, whichever domain drains and whenever.
+   Inbound pairs are kept sorted by source host, and each link's queue is
+   in (at, seq) order; the pre-lane of the scheduler keeps insertion
+   order at a time tie, so scheduling link after link in source order
+   makes the event queue deliver in the canonical (at, src, seq) order
+   without a sort.
 
    Determinism across shard counts: rounds are identical whether shards
    run sequentially or on domains — bounds depend only on post-barrier
-   state, draining is done by the coordinator in canonical order, link
-   sequence numbers are assigned by the (single-threaded) sending host in
-   its own deterministic event order, and hosts share no other state. The
-   [shards = 1] path is the very same round loop with the domain barrier
-   elided, so outcome digests, recordings and traces are byte-identical at
-   any shard count. Adaptive and fixed mode partition the same event
-   executions into different rounds; because drained messages are
-   delivered through the scheduler's pre-lane (ahead of any same-instant
-   local event, regardless of insertion round), the per-host event order —
-   and hence every observable outcome — is also identical across modes.
+   state, the set and delivery order of drained messages depend only on
+   virtual time, link sequence numbers are assigned by the
+   (single-threaded) sending host in its own deterministic event order,
+   and hosts share no other state. Placement is not part of the contract.
+   The [shards = 1] path is the very same round body (drain host, run
+   host) with the domain barrier elided, so outcome digests, recordings
+   and traces are byte-identical at any shard count. Adaptive and fixed
+   mode partition the same event executions into different rounds;
+   because drained messages are delivered through the scheduler's
+   pre-lane (ahead of any same-instant local event, regardless of
+   insertion round), the per-host event order — and hence every
+   observable outcome — is also identical across modes.
 
    Scale: links and pair records are created lazily (first use), under a
    world mutex — a million-connection world touches a few thousand host
@@ -95,6 +115,23 @@ open Remon_kernel
 open Remon_sim
 
 type mode = Fixed | Adaptive
+
+exception Conservative_violation of {
+  src : int;
+  dst : int;
+  at : Vtime.t;
+  clock : Vtime.t;
+}
+
+let () =
+  Printexc.register_printer (function
+    | Conservative_violation { src; dst; at; clock } ->
+      Some
+        (Printf.sprintf
+           "World.Conservative_violation: message from host %d at %dns is \
+            behind host %d's clock %dns"
+           src (Vtime.to_int_ns at) dst (Vtime.to_int_ns clock))
+    | _ -> None)
 
 type host = { idx : int; kernel : Kernel.t; hostnet : Hostnet.t }
 
@@ -113,7 +150,8 @@ type t = {
   link_latency : Vtime.t;
   mu : Mutex.t; (* guards pairs/in_pairs mutation (lazy creation) *)
   pairs : (int, pair) Hashtbl.t; (* src * n + dst -> pair *)
-  in_pairs : pair list array; (* inbound pairs per destination host *)
+  in_pairs : pair list array;
+      (* inbound pairs per destination host, sorted by source host *)
   frontier : Vtime.t array; (* F_i scratch *)
   bound : Vtime.t array; (* per-round execution bounds *)
   mutable mode : mode;
@@ -141,8 +179,12 @@ let ensure_pair t ~src ~dst =
       in
       Hashtbl.replace t.pairs key pa;
       Hashtbl.replace t.pairs ((dst * n) + src) pb;
-      t.in_pairs.(dst) <- pa :: t.in_pairs.(dst);
-      t.in_pairs.(src) <- pb :: t.in_pairs.(src);
+      let rec insert p = function
+        | q :: rest when q.p_src < p.p_src -> q :: insert p rest
+        | l -> p :: l
+      in
+      t.in_pairs.(dst) <- insert pa t.in_pairs.(dst);
+      t.in_pairs.(src) <- insert pb t.in_pairs.(src);
       pa
   in
   Mutex.unlock t.mu;
@@ -310,84 +352,82 @@ let compute_bounds t =
      | Adaptive -> adaptive_bounds t);
   live
 
-(* Drain every inbound message below the host's bound and schedule it as a
-   pre-lane local event at its delivery time. Canonical (at, src, seq)
-   order plus the pre-lane make delivery order a pure function of the
-   message timestamps — independent of which link delivered first and of
-   which round performed the drain. *)
-let drain_round t =
-  Array.iteri
-    (fun i h ->
-      let msgs =
-        List.concat_map
-          (fun p ->
-            List.map
-              (fun m -> (p.p_src, m))
-              (Link.drain_before p.p_link ~bound:t.bound.(i)))
-          t.in_pairs.(i)
-      in
-      let msgs =
-        List.sort
-          (fun (s1, (m1 : Link.msg)) (s2, (m2 : Link.msg)) ->
-            match Vtime.compare m1.Link.at m2.Link.at with
-            | 0 -> (
-              match compare (s1 : int) s2 with
-              | 0 -> compare m1.Link.seq m2.Link.seq
-              | c -> c)
-            | c -> c)
-          msgs
-      in
-      let sched = Kernel.sched h.kernel in
-      let now = Sched.now sched in
+(* Drain every inbound message of host [i] below its bound and schedule
+   each as a pre-lane local event at its delivery time. Runs on the shard
+   that owns [i], before it runs [i]; see the header for why concurrent
+   senders cannot change what is drained. Links are visited in source
+   order and each is FIFO in (at, seq), so the pre-lane's tie order makes
+   delivery follow the canonical (at, src, seq) order. [in_pairs] is read
+   under the world mutex: lazy pair creation may replace it meanwhile. *)
+let drain_host t i =
+  let h = t.hosts.(i) in
+  let bound = t.bound.(i) in
+  let sched = Kernel.sched h.kernel in
+  let clock = Sched.now sched in
+  Mutex.lock t.mu;
+  let pairs = t.in_pairs.(i) in
+  Mutex.unlock t.mu;
+  List.iter
+    (fun p ->
+      let src = p.p_src in
       List.iter
-        (fun (src, (m : Link.msg)) ->
+        (fun (m : Link.msg) ->
           (* the conservative contract, checked on every delivery: a
              message must never arrive behind the destination's clock *)
-          if Vtime.(m.Link.at < now) then
-            failwith
-              (Printf.sprintf
-                 "World: conservative violation: message from host %d at \
-                  %dns is behind host %d's clock %dns"
-                 src
-                 (Vtime.to_int_ns m.Link.at)
-                 i (Vtime.to_int_ns now));
+          if Vtime.(m.Link.at < clock) then
+            raise
+              (Conservative_violation { src; dst = i; at = m.Link.at; clock });
           Sched.schedule_pre sched ~time:m.Link.at (fun () ->
               Hostnet.apply h.hostnet ~src m))
-        msgs)
-    t.hosts
+        (Link.drain_before p.p_link ~bound))
+    pairs
 
-let run_host t (h : host) =
-  Sched.run_before (Kernel.sched h.kernel) ~bound:t.bound.(h.idx)
+(* One host's share of a round: drain its inbound links, then run it
+   strictly below its bound. *)
+let run_host t i =
+  drain_host t i;
+  Sched.run_before (Kernel.sched t.hosts.(i).kernel) ~bound:t.bound.(i)
 
 (* ------------------------------------------------------------------ *)
 (* Execution *)
 
-let run_seq t =
+(* Contiguous blocks: host [i] of [n] runs on shard [i * shards / n].
+   Block sizes differ by at most one, and hosts numbered next to each
+   other share a shard — which is how the topology builders number
+   linked hosts (a herd cell is hosts 2c and 2c+1). *)
+let shard_of ~n ~shards i = i * min shards n / n
+
+(* The conservative round loop; [phase] runs every shard's hosts for one
+   round and returns once all of them reached their bound. *)
+let round_loop t ~phase =
   while compute_bounds t do
     t.rounds <- t.rounds + 1;
-    drain_round t;
-    Array.iter (fun h -> run_host t h) t.hosts
+    phase ()
   done
 
 (* Parallel rounds on persistent domains. The barrier is a mutex/condvar
    phase counter rather than a spin loop: shards may outnumber cores (the
    determinism contract must hold on a 1-CPU box too), and a spinning
    coordinator would stall the very workers it waits for. The monitor
-   gives the happens-before edges both ways — the coordinator's drain
-   writes are visible to workers, worker event processing (and lazy pair
-   creation, which is additionally guarded by the world mutex) is visible
-   to the next bound computation. Static host -> shard assignment
-   ([idx mod shards]) keeps placement deterministic, though determinism
-   does not depend on it: hosts only interact through the links. *)
-let run_par t ~shards =
+   gives the happens-before edges both ways — the coordinator's bounds are
+   visible to workers, worker event processing and draining (and lazy
+   pair creation, which is additionally guarded by the world mutex) is
+   visible to the next bound computation. Every shard, the coordinator's
+   included, keeps its exception in [failures] and stops there, as the
+   sequential loop would at that host. After the barrier the coordinator
+   re-raises the lowest shard's, unchanged and with its backtrace: blocks
+   are contiguous, so that is the failure of the lowest host, which is
+   the one [shards = 1] raises whatever the thread timing. *)
+let run_par t ~shards ~run_shard =
   let m = Mutex.create () in
   let cv = Condition.create () in
   let phase = ref 0 in
   let done_count = ref 0 in
   let stop = ref false in
-  let failure = ref None in
-  let run_shard s =
-    Array.iter (fun h -> if h.idx mod shards = s then run_host t h) t.hosts
+  let failures = Array.make shards None in
+  let run_caught s =
+    try run_shard s
+    with e -> failures.(s) <- Some (e, Printexc.get_raw_backtrace ())
   in
   let worker s =
     let seen = ref 0 in
@@ -402,11 +442,8 @@ let run_par t ~shards =
       Mutex.unlock m;
       if stopping then running := false
       else begin
-        let err = (try run_shard s; None with e -> Some e) in
+        run_caught s;
         Mutex.lock m;
-        (match (err, !failure) with
-        | Some e, None -> failure := Some e
-        | _ -> ());
         incr done_count;
         Condition.broadcast cv;
         Mutex.unlock m
@@ -423,31 +460,39 @@ let run_par t ~shards =
     Mutex.unlock m;
     List.iter Domain.join domains
   in
-  (try
-     while compute_bounds t do
-       t.rounds <- t.rounds + 1;
-       drain_round t;
-       Mutex.lock m;
-       done_count := 0;
-       incr phase;
-       Condition.broadcast cv;
-       Mutex.unlock m;
-       run_shard 0;
-       Mutex.lock m;
-       while !done_count < shards - 1 do
-         Condition.wait cv m
-       done;
-       let err = !failure in
-       Mutex.unlock m;
-       match err with Some e -> raise e | None -> ()
-     done
+  let parallel_phase () =
+    Mutex.lock m;
+    done_count := 0;
+    incr phase;
+    Condition.broadcast cv;
+    Mutex.unlock m;
+    run_caught 0;
+    Mutex.lock m;
+    while !done_count < shards - 1 do
+      Condition.wait cv m
+    done;
+    Mutex.unlock m;
+    Option.iter
+      (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+      (Array.find_map Fun.id failures)
+  in
+  (try round_loop t ~phase:parallel_phase
    with e ->
+     let bt = Printexc.get_raw_backtrace () in
      release_and_join ();
-     raise e);
+     Printexc.raise_with_backtrace e bt);
   release_and_join ()
 
 let run ?(shards = 1) ?(mode = Adaptive) t =
   if shards < 1 then invalid_arg "World.run: shards must be >= 1";
   t.mode <- mode;
-  let shards = min shards (Array.length t.hosts) in
-  if shards = 1 then run_seq t else run_par t ~shards
+  let n = Array.length t.hosts in
+  let shards = min shards n in
+  let owned = Array.make shards [] in
+  for i = n - 1 downto 0 do
+    let s = shard_of ~n ~shards i in
+    owned.(s) <- i :: owned.(s)
+  done;
+  let run_shard s = List.iter (run_host t) owned.(s) in
+  if shards = 1 then round_loop t ~phase:(fun () -> run_shard 0)
+  else run_par t ~shards ~run_shard

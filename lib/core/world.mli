@@ -41,11 +41,33 @@ val route : ?initiators:int list -> t -> port:int -> host:int -> unit
     narrowing it is what lets adaptive lookahead decouple unrelated host
     groups. Routing must be set up before [run]. *)
 
+exception Conservative_violation of {
+  src : int;
+  dst : int;
+  at : Vtime.t;  (** the message's delivery time *)
+  clock : Vtime.t;  (** the destination's clock when it drained it *)
+}
+(** A message from host [src] would be delivered to host [dst] behind
+    [dst]'s clock: the conservative contract is broken. Checked on every
+    delivery, in every mode, and raised out of {!run} unchanged whichever
+    shard detected it. If hosts fail in the same round on several shards,
+    {!run} raises the lowest host's failure, as it does at one shard. *)
+
 val run : ?shards:int -> ?mode:mode -> t -> unit
 (** Runs every host to completion. [shards] is clamped to the host count;
-    [shards = 1] (default) is the sequential reference execution. [mode]
-    defaults to [Adaptive]; outcomes are byte-identical in either mode,
-    only the round partitioning differs. *)
+    [shards = 1] (default) is the sequential reference execution. Host [i]
+    runs on shard {!shard_of}[ ~n ~shards i], and each shard drains its
+    own hosts' inbound links before running them, so there is no serial
+    drain between rounds. [mode] defaults to [Adaptive]; outcomes are
+    byte-identical at any shard count and in either mode, only the round
+    partitioning differs. Raises {!Conservative_violation} on a broken
+    conservative contract. *)
+
+val shard_of : n:int -> shards:int -> int -> int
+(** [shard_of ~n ~shards i] is the shard that runs host [i] of [n]:
+    [i * shards / n] with [shards] clamped to [n] as in {!run}. Shards are
+    contiguous blocks whose sizes differ by at most one, so hosts numbered
+    next to each other share a shard. Placement never affects outcomes. *)
 
 val rounds : t -> int
 (** Conservative rounds executed so far (a parallelism diagnostic). *)

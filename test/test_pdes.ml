@@ -214,6 +214,104 @@ let test_three_host_fan_in () =
   check_int "client 0 answered" 5 answered.(0);
   check_int "client 1 answered" 5 answered.(1)
 
+let test_tie_delivers_in_source_order () =
+  (* hosts 2 and 1 connect at the same virtual instant (routes declared in
+     that order, so the pairs are created 2 first): the SYNs tie on
+     delivery time, and the canonical (at, src, seq) order hands host 0
+     host 1's connection first, at any shard count *)
+  let order shards =
+    let w = make_world 3 in
+    World.route w ~port:7000 ~host:0 ~initiators:[ 2; 1 ];
+    let got = Buffer.create 2 in
+    spawn w 0 "server" (fun () ->
+        let sfd = Api.socket () in
+        Api.bind sfd 7000;
+        Api.listen sfd 8;
+        for _ = 1 to 2 do
+          let a = Api.accept sfd in
+          Buffer.add_string got (Api.recv_exactly a.Syscall.conn_fd 1);
+          Api.close a.Syscall.conn_fd
+        done);
+    List.iter
+      (fun c ->
+        spawn w c "client" (fun () ->
+            let fd = Api.socket () in
+            Api.connect_retry fd 7000;
+            ignore (Api.send fd (string_of_int c));
+            Api.close fd))
+      [ 1; 2 ];
+    World.run ~shards w;
+    Buffer.contents got
+  in
+  List.iter
+    (fun shards ->
+      check_string (Printf.sprintf "accept order, shards %d" shards) "12"
+        (order shards))
+    [ 1; 2; 3 ]
+
+let test_conservative_violation () =
+  (* host 1's clock is pushed to 10 ms before the run, so the SYN host 0
+     sends at the start reaches it in its past. The typed fail-stop must
+     surface from World.run with the same payload whether host 1 is
+     drained on the calling domain (shards 1) or on a worker (shards 2). *)
+  let provoke shards =
+    let w = make_world 2 in
+    World.route w ~port:7000 ~host:1;
+    let s1 = Kernel.sched (World.kernel w 1) in
+    Sched.schedule s1 ~time:(Vtime.ms 10) ignore;
+    Sched.run s1;
+    spawn w 0 "client" (fun () ->
+        ignore (sys (Syscall.Connect (Api.socket (), 7000))));
+    match World.run ~shards w with
+    | () -> Alcotest.failf "shards %d: stale message was delivered" shards
+    | exception World.Conservative_violation { src; dst; at; clock } ->
+      (src, dst, Vtime.to_int_ns at, Vtime.to_int_ns clock)
+  in
+  let ((src, dst, at, clock) as v1) = provoke 1 in
+  check_int "sender" 0 src;
+  check_int "destination" 1 dst;
+  check_int "destination clock" 10_000_000 clock;
+  check_bool "delivery at least one latency after the start" true
+    (at >= 200_000 && at < clock);
+  check_bool "same violation at shards 2" true (provoke 2 = v1)
+
+let test_lowest_violation_wins () =
+  (* two independent pairs 0->1 and 2->3 break the contract in the same
+     round, on different shards from 2 shards up. World.run must raise
+     host 1's violation, as the sequential loop does, whatever order the
+     shards finish in; repeated because a timing-dependent pick would only
+     fail some of the time *)
+  let provoke shards =
+    let w = make_world 4 in
+    World.route w ~port:7000 ~host:1 ~initiators:[ 0 ];
+    World.route w ~port:7001 ~host:3 ~initiators:[ 2 ];
+    List.iter
+      (fun (host, ms) ->
+        let s = Kernel.sched (World.kernel w host) in
+        Sched.schedule s ~time:(Vtime.ms ms) ignore;
+        Sched.run s)
+      [ (1, 10); (3, 20) ];
+    List.iter
+      (fun (host, port) ->
+        spawn w host "client" (fun () ->
+            ignore (sys (Syscall.Connect (Api.socket (), port)))))
+      [ (0, 7000); (2, 7001) ];
+    match World.run ~shards w with
+    | () -> Alcotest.failf "shards %d: stale messages were delivered" shards
+    | exception World.Conservative_violation { src; dst; clock; _ } ->
+      (src, dst, Vtime.to_int_ns clock)
+  in
+  let v1 = provoke 1 in
+  check_bool "host 1's violation at shards 1" true (v1 = (0, 1, 10_000_000));
+  List.iter
+    (fun shards ->
+      for _ = 1 to 10 do
+        check_bool
+          (Printf.sprintf "same violation at shards %d" shards)
+          true (provoke shards = v1)
+      done)
+    [ 2; 3; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* The determinism contract *)
 
@@ -300,9 +398,10 @@ let test_oversubscribed_shards () =
    doubles as the conservative-safety oracle: if the adaptive bounds ever
    let a cross-host message act earlier than the single-latency bound
    would allow, some delivery interleaving changes and the digest
-   diverges. On top of that, World.drain_round fail-stops outright if a
-   drained message's delivery time is already in a shard's past — the
-   direct "never delivered early" check, always on, in every run below. *)
+   diverges. On top of that, World's drain raises
+   World.Conservative_violation if a drained message's delivery time is
+   already in a shard's past — the direct "never delivered early" check,
+   always on, in every run below. *)
 
 let test_mode_invariance_corpus () =
   List.iter
@@ -314,6 +413,24 @@ let test_mode_invariance_corpus () =
       let fx2 = Topology.run ~shards:2 ~mode:World.Fixed sc in
       compare_results (label ^ " adaptive v fixed s2") ad fx2)
     (Topology.corpus ~n:2)
+
+let test_block_placement () =
+  (* the 2000-host herd of the perf runs: cell c is server 2c and client
+     2c+1, and its whole link traffic must stay on one shard *)
+  let n = 2000 and shards = 2 in
+  for c = 0 to (n / 2) - 1 do
+    let shard i = World.shard_of ~n ~shards i in
+    if shard (2 * c) <> shard ((2 * c) + 1) then
+      Alcotest.failf "cell %d straddles shards" c
+  done;
+  let counts = Array.make shards 0 in
+  for i = 0 to n - 1 do
+    let s = World.shard_of ~n ~shards i in
+    counts.(s) <- counts.(s) + 1
+  done;
+  let lo = Array.fold_left min max_int counts
+  and hi = Array.fold_left max 0 counts in
+  check_bool "shard host counts differ by at most one" true (hi - lo <= 1)
 
 let test_herd_invariance () =
   let herd =
@@ -338,6 +455,25 @@ let test_herd_invariance () =
   let fx = Topology.run_herd ~shards:2 ~mode:World.Fixed herd in
   check_string "herd digest 1v2" r1.Topology.hr_digest r2.Topology.hr_digest;
   check_string "herd digest 1vN" r1.Topology.hr_digest rn.Topology.hr_digest;
+  (* 6 hosts: at shards 3 every cell sits on one shard, at shards 4 the
+     middle cell (hosts 2, 3) is split, so cross-shard delivery runs too *)
+  let same_shard shards c =
+    let shard i = World.shard_of ~n:6 ~shards i in
+    shard (2 * c) = shard ((2 * c) + 1)
+  in
+  check_bool "shards 3 keeps cells together" true
+    (List.for_all (same_shard 3) [ 0; 1; 2 ]);
+  check_bool "shards 4 splits a cell" false (same_shard 4 1);
+  List.iter
+    (fun shards ->
+      let r = Topology.run_herd ~shards herd in
+      check_string
+        (Printf.sprintf "herd digest 1v%d" shards)
+        r1.Topology.hr_digest r.Topology.hr_digest;
+      check_string
+        (Printf.sprintf "herd digest fixed v %d" shards)
+        fx.Topology.hr_digest r.Topology.hr_digest)
+    [ 3; 4 ];
   check_string "herd digest adaptive v fixed" r1.Topology.hr_digest
     fx.Topology.hr_digest;
   check_bool "adaptive needs no more rounds than fixed" true
@@ -397,6 +533,12 @@ let () =
           Alcotest.test_case "reset on data-after-close" `Quick
             test_cross_host_reset_on_closed_peer;
           Alcotest.test_case "three-host fan-in" `Quick test_three_host_fan_in;
+          Alcotest.test_case "delivery ties break by source host" `Quick
+            test_tie_delivers_in_source_order;
+          Alcotest.test_case "stale message fails stop, typed" `Quick
+            test_conservative_violation;
+          Alcotest.test_case "lowest host's violation wins" `Quick
+            test_lowest_violation_wins;
         ] );
       ( "determinism",
         [
@@ -408,6 +550,8 @@ let () =
             test_digest_independent_of_obs;
           Alcotest.test_case "shards clamp to host count" `Quick
             test_oversubscribed_shards;
+          Alcotest.test_case "block placement keeps cells together" `Quick
+            test_block_placement;
         ] );
       ( "adaptive lookahead",
         [
