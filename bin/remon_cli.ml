@@ -596,7 +596,7 @@ let replay_cmd =
        ~doc:
          "Replay a recording offline: re-execute its configuration, check \
           the replayed stream against the recorded one byte for byte, and \
-          on a fork binary-search for the first divergent record.")
+          on a fork locate the first divergent record.")
     Term.(
       const replay_recording $ file_arg $ backend_override_arg $ context_arg
       $ show_events_arg $ trace_file_arg $ metrics_arg)

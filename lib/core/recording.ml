@@ -40,6 +40,14 @@ let equal_event a b =
   | Flush a, Flush b -> a.reason = b.reason && a.count = b.count
   | _ -> false
 
+(* Agrees with comparing [to_string] outputs: the encoding is a
+   deterministic, injective function of exactly these fields. *)
+let equal a b =
+  a.header = b.header
+  && a.verdict = b.verdict
+  && Array.length a.events = Array.length b.events
+  && Array.for_all2 equal_event a.events b.events
+
 let event_to_string = function
   | Call { rank; call; result } ->
     Printf.sprintf "call  rank=%d %s -> %s" rank (Syscall.to_string call)
@@ -186,28 +194,10 @@ let with_workload t workload = { t with header = { t.header with workload } }
 (* ------------------------------------------------------------------ *)
 (* Digests *)
 
-let event_bytes ev =
-  let w = Syswire.W.create ~initial:64 () in
-  write_event w ev;
-  Syswire.W.contents w
-
 let stream_digest t =
   let w = Syswire.W.create ~initial:4096 () in
   Array.iter (write_event w) t.events;
   Digest.to_hex (Digest.string (Syswire.W.contents w))
-
-(* Chained prefix digests: d.(0) seeds on the event count alone;
-   d.(i+1) = MD5(d.(i) ++ bytes(event i)). Prefix agreement between two
-   streams is monotone in the prefix length, which is the invariant the
-   bisection driver binary-searches. *)
-let prefix_digests t =
-  let n = Array.length t.events in
-  let d = Array.make (n + 1) "" in
-  d.(0) <- Digest.string "rmrc-prefix-0";
-  for i = 0 to n - 1 do
-    d.(i + 1) <- Digest.string (d.(i) ^ event_bytes t.events.(i))
-  done;
-  d
 
 (* ------------------------------------------------------------------ *)
 (* Live capture *)

@@ -50,6 +50,14 @@ type t = { header : header; events : event array; verdict : (string * string) op
 (** [verdict = Some (class, rendered)]; [None] = clean run. *)
 
 val equal_event : event -> event -> bool
+
+val equal : t -> t -> bool
+(** Header, verdict and events (via {!equal_event}) all equal. The
+    encoding is deterministic and injective — tagged, length-prefixed, no
+    floats — so [equal a b] holds exactly when
+    [String.equal (to_string a) (to_string b)]; use it to compare two
+    in-memory recordings without serializing either. *)
+
 val event_to_string : event -> string
 
 (* {1 Serialization} *)
@@ -71,11 +79,6 @@ val with_workload : t -> string -> t
 val stream_digest : t -> string
 (** MD5 (hex) over the serialized event stream alone — header-independent,
     so the same execution recorded under different labels compares equal. *)
-
-val prefix_digests : t -> string array
-(** [n+1] chained digests; element [i] covers events [0..i-1]. Element [n]
-    distinguishes any two streams that differ anywhere before [n], which
-    makes prefix agreement monotone — the property bisection searches. *)
 
 (* {1 Live capture} *)
 

@@ -1,4 +1,5 @@
-(* Offline replay + time-travel divergence bisection over recordings. *)
+(* Offline replay + time-travel divergence bisection over recordings:
+   in-memory recordings are compared structurally, never re-encoded. *)
 
 open Remon_kernel
 open Remon_sim
@@ -48,39 +49,33 @@ let config_of_header ?backend (h : Recording.header) =
             })))
 
 (* ------------------------------------------------------------------ *)
-(* Bisection *)
+(* Bisection: locate the fork *)
 
 let render_opt events i =
   if i >= 0 && i < Array.length events then
     Some (Recording.event_to_string events.(i))
   else None
 
+(* First index where the streams differ, or the shorter length when one
+   is a prefix of the other; [None] when they are equal. *)
+let fork_index (a : Recording.event array) (b : Recording.event array) =
+  let na = Array.length a and nb = Array.length b in
+  let n = min na nb in
+  let rec go i =
+    if i = n then if na = nb then None else Some n
+    else if Recording.equal_event a.(i) b.(i) then go (i + 1)
+    else Some i
+  in
+  go 0
+
 let bisect ?(context = 3) ~(recorded : Recording.t) ~(replayed : Recording.t)
     () =
-  let da = Recording.prefix_digests recorded in
-  let db = Recording.prefix_digests replayed in
-  let na = Array.length recorded.Recording.events in
-  let nb = Array.length replayed.Recording.events in
-  let n = min na nb in
-  let agree i = String.equal da.(i) db.(i) in
-  if agree n && na = nb then None
-  else begin
-    (* chained digests make prefix agreement monotone: find the smallest
-       disagreeing prefix by binary search; the fork is the record before
-       it. When the common prefix fully agrees, one stream simply ended. *)
-    let first =
-      if agree n then n
-      else begin
-        let lo = ref 0 and hi = ref n in
-        while !hi - !lo > 1 do
-          let mid = (!lo + !hi) / 2 in
-          if agree mid then lo := mid else hi := mid
-        done;
-        !lo
-      end
-    in
-    let rec_evs = recorded.Recording.events in
-    let rep_evs = replayed.Recording.events in
+  let rec_evs = recorded.Recording.events in
+  let rep_evs = replayed.Recording.events in
+  match fork_index rec_evs rep_evs with
+  | None -> None
+  | Some first ->
+    let na = Array.length rec_evs and nb = Array.length rep_evs in
     let thread_rank, syscall =
       let of_event = function
         | Recording.Call { rank; call; _ } ->
@@ -109,7 +104,6 @@ let bisect ?(context = 3) ~(recorded : Recording.t) ~(replayed : Recording.t)
         replayed_ev = render_opt rep_evs first;
         context = !ctx;
       }
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Replay *)
@@ -149,24 +143,16 @@ let replay ?backend ?context ?obs (recorded : Recording.t) ~body =
       String.equal replayed.Recording.header.Recording.backend
         recorded.Recording.header.Recording.backend
     in
-    let identical =
-      same_backend
-      && String.equal (Recording.to_string recorded) (Recording.to_string replayed)
-    in
+    let identical = same_backend && Recording.equal recorded replayed in
     let class_of (r : Recording.t) =
       match r.Recording.verdict with Some (cls, _) -> Some cls | None -> None
     in
     let verdict_class_agrees = class_of recorded = class_of replayed in
-    (* byte-identical recordings carry identical event streams, so only a
-       differing pair needs the stream digests *)
+    (* identical recordings carry identical event streams; otherwise the
+       scan finds the fork, or [None] when only the header or verdict
+       differs *)
     let divergence =
-      if
-        identical
-        || String.equal
-             (Recording.stream_digest recorded)
-             (Recording.stream_digest replayed)
-      then None
-      else bisect ?context ~recorded ~replayed ()
+      if identical then None else bisect ?context ~recorded ~replayed ()
     in
     obs_instant obs ~ts:(Kernel.now kernel) ~name:"replay.end"
       [

@@ -1,15 +1,21 @@
 (** Offline replay of {!Recording} files: re-executes the recorded
     configuration in a fresh kernel (optionally under a different backend —
     a first-class mode), compares the replayed stream against the
-    recording, and on a fork runs time-travel divergence bisection:
-    binary-search over chained prefix digests for the first record where
-    the replica's visible stream forks from the recorded master stream. *)
+    recording, and on a fork runs time-travel divergence bisection: it
+    locates the first record where the replica's visible stream forks from
+    the recorded master stream.
+
+    Both recordings are in memory, so nothing is serialized to compare
+    them: identity is {!Recording.equal} (equivalent to comparing the RMRC
+    bytes), and the fork point is one left-to-right {!Recording.equal_event}
+    scan that stops at the first differing record. *)
 
 type report = {
   recorded : Recording.t;
   replayed : Recording.t;
   identical : bool;
-      (** byte-identical serializations — the same-backend replay oracle *)
+      (** same backend and {!Recording.equal} — i.e. byte-identical
+          serializations — the same-backend replay oracle *)
   verdict_class_agrees : bool;
       (** verdict-class equality — the cross-backend replay oracle *)
   divergence : Divergence.replay_divergence option;
@@ -29,8 +35,9 @@ val bisect :
   replayed:Recording.t ->
   unit ->
   Divergence.replay_divergence option
-(** Binary search over the chained prefix digests of both streams for the
-    first divergent record; [None] when the streams are identical.
+(** Scan both event streams left to right for the first divergent record
+    (or the shorter length when one stream is a prefix of the other);
+    [None] when the streams are equal. The scan stops at the fork.
     [?context] is the half-width K of the report's ±K-record window
     (default 3). *)
 

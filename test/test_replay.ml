@@ -1,6 +1,6 @@
 (* Deployable record/replay: record -> offline replay identity on every
    backend, replay-under-a-different-backend verdict agreement, divergence
-   bisection (binary search must match a linear scan exactly), and the
+   bisection (must match a ground-truth linear scan exactly), and the
    double-respawn recovery regression. *)
 
 open Remon_kernel
@@ -119,7 +119,7 @@ let tamper recording k =
     | Recording.Flush f -> Recording.Flush { f with count = f.count + 1 });
   { recording with Recording.events }
 
-(* Ground truth by linear scan, for checking the binary search against. *)
+(* Ground truth by linear scan, for checking the bisection against. *)
 let linear_fork (a : Recording.t) (b : Recording.t) =
   let na = Array.length a.Recording.events in
   let nb = Array.length b.Recording.events in
@@ -175,8 +175,8 @@ let test_bisect_truncation () =
     Alcotest.(check int) "totals" n d.Divergence.total_recorded;
     Alcotest.(check int) "totals" m d.Divergence.total_replayed
 
-(* Clean vs fault-injected run of the same configuration: the bisection's
-   binary search must land exactly where a linear scan does. *)
+(* Clean vs fault-injected run of the same configuration: the bisection
+   must land exactly where a linear scan does. *)
 let test_bisect_matches_linear_scan () =
   let body = mixed_body () in
   let clean = record (config ~backend:Mvee.Ghumvee_only ()) body in
@@ -186,10 +186,46 @@ let test_bisect_matches_linear_scan () =
   Alcotest.(check bool) "the fault forked the stream" true (expected <> None);
   match (Replayer.bisect ~recorded:clean ~replayed:faulted (), expected) with
   | Some d, Some k ->
-    Alcotest.(check int) "binary search = linear scan" k
+    Alcotest.(check int) "bisection = linear scan" k
       d.Divergence.first_rank
   | None, _ -> Alcotest.fail "bisect reported no divergence"
   | _, None -> assert false
+
+(* ------------------------------------------------------------------ *)
+(* Replay against an altered recording: identity covers every field the
+   file carries, and the fork is reported where the alteration sits. *)
+
+let test_replay_tampered_event () =
+  let body = mixed_body () in
+  let recorded = record (config ()) body in
+  let n = Array.length recorded.Recording.events in
+  List.iter
+    (fun k ->
+      let rep = replay_exn (tamper recorded k) ~body in
+      Alcotest.(check bool)
+        (Printf.sprintf "tamper@%d: not identical" k)
+        false rep.Replayer.identical;
+      match rep.Replayer.divergence with
+      | None -> Alcotest.failf "tamper@%d: no divergence reported" k
+      | Some d ->
+        Alcotest.(check int)
+          (Printf.sprintf "tamper@%d: fork rank" k)
+          k d.Divergence.first_rank)
+    [ 0; n / 2; n - 1 ]
+
+let test_replay_verdict_only () =
+  let body = mixed_body () in
+  let recorded = record (config ()) body in
+  Alcotest.(check bool) "clean run" true (recorded.Recording.verdict = None);
+  let altered =
+    { recorded with Recording.verdict = Some ("divergence", "altered") }
+  in
+  let rep = replay_exn altered ~body in
+  Alcotest.(check bool) "not identical" false rep.Replayer.identical;
+  Alcotest.(check bool) "verdict classes differ" false
+    rep.Replayer.verdict_class_agrees;
+  Alcotest.(check bool) "streams equal: no divergence" true
+    (rep.Replayer.divergence = None)
 
 (* ------------------------------------------------------------------ *)
 (* Double respawn: two injected slave crashes under a Respawn budget of 3
@@ -247,6 +283,13 @@ let () =
             test_bisect_truncation;
           Alcotest.test_case "matches a linear scan on injected faults" `Quick
             test_bisect_matches_linear_scan;
+        ] );
+      ( "altered recording",
+        [
+          Alcotest.test_case "tampered event forks at its rank" `Quick
+            test_replay_tampered_event;
+          Alcotest.test_case "verdict-only change is not identical" `Quick
+            test_replay_verdict_only;
         ] );
       ( "recovery",
         [

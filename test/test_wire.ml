@@ -303,18 +303,77 @@ let prop_result_roundtrip =
       let back = Syswire.read_result r in
       Syscall.equal_result result back && Syswire.R.remaining r = 0)
 
-let equal_recording (a : Recording.t) (b : Recording.t) =
-  a.Recording.header = b.Recording.header
-  && a.Recording.verdict = b.Recording.verdict
-  && Array.length a.Recording.events = Array.length b.Recording.events
-  && Array.for_all2 Recording.equal_event a.Recording.events b.Recording.events
-
 let prop_recording_roundtrip =
   QCheck2.Test.make ~name:"recording serialize/parse round-trips" ~count:300
     gen_recording (fun t ->
       match Recording.of_string (Recording.to_string t) with
-      | Ok back -> equal_recording t back
+      | Ok back -> Recording.equal t back
       | Error _ -> false)
+
+(* ------------------------------------------------------------------ *)
+(* Structural equality agrees with byte equality — the contract that lets
+   the replayer compare recordings without encoding them *)
+
+type mutation =
+  | Header_field of int  (** which of the eight header fields *)
+  | Verdict
+  | Event of int * Recording.event  (** replace event [i mod n] *)
+  | Drop_last
+
+let gen_mutation =
+  QCheck2.Gen.(
+    oneof
+      [
+        map (fun i -> Header_field i) (int_range 0 7);
+        pure Verdict;
+        map (fun (i, ev) -> Event (i, ev)) (pair (int_range 0 1000) gen_event);
+        pure Drop_last;
+      ])
+
+let mutate (t : Recording.t) = function
+  | Header_field i ->
+    let h = t.Recording.header in
+    let header =
+      match i with
+      | 0 -> { h with Recording.backend = h.Recording.backend ^ "x" }
+      | 1 -> { h with Recording.nreplicas = h.Recording.nreplicas + 1 }
+      | 2 -> { h with Recording.seed = h.Recording.seed + 1 }
+      | 3 -> { h with Recording.level = h.Recording.level ^ "x" }
+      | 4 -> { h with Recording.on_failure = h.Recording.on_failure ^ "x" }
+      | 5 -> { h with Recording.faults = h.Recording.faults ^ "x" }
+      | 6 -> { h with Recording.workload = h.Recording.workload ^ "x" }
+      | _ -> { h with Recording.shm_key = h.Recording.shm_key + 1 }
+    in
+    { t with Recording.header }
+  | Verdict ->
+    let verdict =
+      match t.Recording.verdict with
+      | None -> Some ("divergence", "")
+      | Some (cls, rendered) -> Some (cls, rendered ^ "x")
+    in
+    { t with Recording.verdict }
+  | Event (i, ev) ->
+    let events = Array.copy t.Recording.events in
+    let n = Array.length events in
+    if n > 0 then events.(i mod n) <- ev;
+    { t with Recording.events }
+  | Drop_last ->
+    let events = t.Recording.events in
+    let n = Array.length events in
+    { t with Recording.events = Array.sub events 0 (max 0 (n - 1)) }
+
+let equal_iff_same_bytes a b =
+  Recording.equal a b
+  = String.equal (Recording.to_string a) (Recording.to_string b)
+
+let prop_equal_self =
+  QCheck2.Test.make ~name:"equal = byte equality on (t, t)" ~count:300
+    gen_recording (fun t -> Recording.equal t t && equal_iff_same_bytes t t)
+
+let prop_equal_mutated =
+  QCheck2.Test.make ~name:"equal = byte equality on (t, mutate t)" ~count:1000
+    QCheck2.Gen.(pair gen_recording gen_mutation)
+    (fun (t, m) -> equal_iff_same_bytes t (mutate t m))
 
 (* ------------------------------------------------------------------ *)
 (* Totality on malformed input: typed error, never an exception *)
@@ -407,6 +466,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_call_roundtrip;
           QCheck_alcotest.to_alcotest prop_result_roundtrip;
           QCheck_alcotest.to_alcotest prop_recording_roundtrip;
+          QCheck_alcotest.to_alcotest prop_equal_self;
+          QCheck_alcotest.to_alcotest prop_equal_mutated;
         ] );
       ( "malformed",
         [
