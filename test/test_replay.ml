@@ -284,7 +284,7 @@ let () =
           Alcotest.test_case "matches a linear scan on injected faults" `Quick
             test_bisect_matches_linear_scan;
         ] );
-      ( "altered recording",
+      ( "altered",
         [
           Alcotest.test_case "tampered event forks at its rank" `Quick
             test_replay_tampered_event;
