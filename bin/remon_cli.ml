@@ -126,8 +126,8 @@ let on_failure_arg =
         ~doc:
           "Recovery policy for non-master replica faults: kill-group (the \
            paper's behavior), quarantine (detach and continue degraded), or \
-           respawn[:N] (quarantine, then replay the journal to bring a fresh \
-           replica back; at most N respawns, default 3).")
+           respawn[:N] (quarantine, then replay the master's calls to bring a \
+           fresh replica back; at most N respawns, default 3).")
 
 let config_of backend nreplicas level seed faults on_failure =
   {

@@ -88,10 +88,10 @@ type group = {
   mutable degraded_since : Vtime.t option; (* start of current degraded span *)
   mutable degraded_ns : Vtime.t; (* completed degraded spans *)
   mutable caught_up_at : Vtime.t option;
-      (* instant the last respawned replica drained the journal. The group
-         is effectively whole from that point even though [rejoin] only runs
-         at the master's next monitored call, so the degraded span closes
-         retroactively here, not at rejoin time. *)
+      (* instant the last respawned replica caught up with the stream. The
+         group is effectively whole from that point even though [rejoin]
+         only runs at the master's next monitored call, so the degraded span
+         closes retroactively here, not at rejoin time. *)
 }
 
 (* SysV keys at or above this value are treated as MVEE-internal (RB / file
@@ -155,8 +155,8 @@ let quarantine g ~variant =
       g.degraded_since <- Some (Kernel.now g.kernel)
   end
 
-(* A respawned replica drained the record-log journal at [at]: from that
-   instant the group computes in full strength again, even though the
+(* A respawned replica caught up with the replicated stream at [at]: from
+   that instant the group computes in full strength again, even though the
    lockstep rejoin only happens at the master's next monitored call. *)
 let note_caught_up g ~at =
   match g.caught_up_at with
@@ -165,7 +165,7 @@ let note_caught_up g ~at =
 
 (* A respawned replica finished its replay and re-entered the group. The
    degraded span closes at the recorded caught-up instant (when one exists
-   and is sane), not at rejoin time: the gap between journal drain and the
+   and is sane), not at rejoin time: the gap between catch-up and the
    master's next monitored call is not degraded service. *)
 let rejoin g ~variant =
   if g.quarantined.(variant) then begin

@@ -23,9 +23,10 @@
    variant's rendezvous state is purged so the remaining replicas keep
    running degraded. Under [Respawn], a fresh replica re-executes from the
    start with every call forced onto the monitored path; GHUMVEE satisfies
-   each from the master syscall journal (skip-with-result for I/O calls,
-   pass-through for replicated calls) and splices the replica back into the
-   group when it catches up with the journal at a live rendezvous point. *)
+   each from the master's calls in the replicated stream (skip-with-result
+   for I/O calls, pass-through for replicated calls) and splices the replica
+   back into the group when its call cursor reaches the head at a live
+   rendezvous point. *)
 
 open Remon_kernel
 open Remon_sim
@@ -53,9 +54,9 @@ type t = {
   watchdog_ns : Vtime.t;
   max_watchdog_retries : int;
   replaying : (int, (int, int) Hashtbl.t) Hashtbl.t;
-      (* respawned variant -> per-rank journal replay position *)
+      (* respawned variant -> per-rank call cursor into the stream *)
   waiting_replay : (int * int, arrival) Hashtbl.t;
-      (* (rank, variant) -> replaying arrival parked at the journal head *)
+      (* (rank, variant) -> replaying arrival parked at the stream head *)
   mutable exits_seen : (int * int) list; (* variant, exit code *)
   mutable shutting_down : bool;
   (* statistics *)
@@ -109,7 +110,7 @@ let variant_of (p : Proc.process) =
   | Some { Proc.variant_index; _ } -> variant_index
   | None -> -1
 
-let journal t = t.g.Context.rb.Replication_buffer.sync_log
+let stream t = t.g.Context.rb.Replication_buffer.sync_log
 
 (* Monitor-context trace events (pid/tid 0): rendezvous lifecycle and the
    watchdog. One match on the sink per site; nothing runs when it's off.
@@ -247,7 +248,8 @@ let inject_deferred t (arrivals : arrival list) =
     (* every replica receives the injection at the same logical point, so
        the recording carries one event, stamped with the rendezvous rank *)
     (match arrivals with
-    | a :: _ -> Record_log.note_signal (journal t) ~rank:a.th.Proc.rank ~signo:sg
+    | a :: _ ->
+      Record_log.append_signal (stream t) ~rank:a.th.Proc.rank ~signo:sg
     | [] -> ());
     List.iter (fun a -> Kernel.inject_signal_now t.kernel a.th sg) arrivals
   done;
@@ -332,7 +334,7 @@ let rec process_rendezvous t rank (arrivals : arrival list) =
     | Some denial ->
       (* rejection is a policy action, not a divergence: deny in all *)
       t.shm_rejected <- t.shm_rejected + 1;
-      Record_log.journal_append (journal t) ~rank
+      Record_log.append_call (stream t) ~rank
         ~call:(Callinfo.normalize call) ~result:denial;
       set_state t rank Idle;
       List.iter
@@ -447,7 +449,7 @@ let rec arm_watchdog ?(attempt = 0) t rank =
         | _ -> ()
       end)
 
-(* A respawned variant finished its journal replay: splice it back in. *)
+(* A respawned variant caught up with the stream: splice it back in. *)
 let rejoin_variant t ~variant =
   Hashtbl.remove t.replaying variant;
   Ikb.set_replaying t.g.Context.ikb ~variant false;
@@ -462,7 +464,7 @@ let rec handle_entry t (th : Proc.thread) (call : Syscall.call) =
     match Hashtbl.find_opt t.replaying variant with
     | Some positions -> replay_entry t th call ~variant ~positions
     | None ->
-      (* replaying variants parked at the journal head rejoin at the
+      (* replaying variants parked at the stream head rejoin at the
          master's next monitored entry: their parked call is this very
          rendezvous *)
       if variant = 0 then flush_waiting_rejoin t ~rank;
@@ -499,19 +501,22 @@ let rec handle_entry t (th : Proc.thread) (call : Syscall.call) =
              }))
   end
 
-(* One replayed call of a respawned replica: verify it against the journal
-   and satisfy it the way the original execution went. *)
+(* One replayed call of a respawned replica: verify it against the master's
+   next call on its rank and satisfy it the way the original execution
+   went. *)
 and replay_entry t (th : Proc.thread) (call : Syscall.call) ~variant ~positions
     =
   let rank = th.Proc.rank in
-  let log = journal t in
+  let log = stream t in
   let pos =
-    match Hashtbl.find_opt positions rank with Some p -> p | None -> 0
+    Record_log.seek_call log ~rank
+      (match Hashtbl.find_opt positions rank with Some p -> p | None -> 0)
   in
-  match Record_log.journal_nth log ~rank pos with
-  | Some { Record_log.jcall; jresult } ->
+  Hashtbl.replace positions rank pos;
+  match Record_log.get log pos with
+  | Some (Record_log.Call { call = jcall; result = jresult; _ }) ->
     if not (Callinfo.equal_normalized call jcall) then begin
-      (* the replay diverged from the journal: the respawn failed; the
+      (* the replay diverged from the master: the respawn failed; the
          replica dies and stays quarantined *)
       Hashtbl.remove t.replaying variant;
       Ikb.set_replaying t.g.Context.ikb ~variant false;
@@ -521,7 +526,7 @@ and replay_entry t (th : Proc.thread) (call : Syscall.call) ~variant ~positions
       Hashtbl.replace positions rank (pos + 1);
       t.replayed_records <- t.replayed_records + 1;
       let cost = Kernel.cost t.kernel in
-      (* the follower replays in-process from its journal copy — it pays
+      (* the follower replays in-process from the shared stream — it pays
          no ptrace round trip and does not serialize through the monitor;
          refund the entry-stop charge and bill the cheap replay step, or
          the follower could never outpace the master and catch up *)
@@ -537,7 +542,7 @@ and replay_entry t (th : Proc.thread) (call : Syscall.call) ~variant ~positions
         Kernel.resume t.kernel th (Proc.Resume_skip r)
       | Callinfo.All_call -> Kernel.resume t.kernel th Proc.Resume_continue
     end
-  | None -> (
+  | Some _ | None -> (
     (* caught up with everything the master has done; degraded time stops
        accruing here, not at the (possibly much later) lockstep rejoin *)
     Context.note_caught_up t.g ~at:th.Proc.clock;
@@ -548,11 +553,12 @@ and replay_entry t (th : Proc.thread) (call : Syscall.call) ~variant ~positions
       rejoin_variant t ~variant;
       handle_entry t th call
     | _ ->
-      (* park until the journal grows or the master reaches a rendezvous *)
+      (* park until the master appends a call on this rank or reaches a
+         rendezvous *)
       Hashtbl.replace t.waiting_replay (rank, variant) { variant; th; call })
 
-(* The journal gained a record on [rank]: parked replaying arrivals can
-   consume it. Wired to [Record_log.set_on_journal_append]. *)
+(* The master appended a call on [rank]: parked replaying arrivals can
+   consume it. Wired to [Record_log.set_on_call]. *)
 and feed_waiting t ~rank =
   let parked =
     Hashtbl.fold
@@ -568,8 +574,8 @@ and feed_waiting t ~rank =
     parked
 
 (* The master reached a monitored entry on [rank]: parked arrivals that
-   drained the journal are synchronized with it — rejoin them first so the
-   rendezvous counts them. *)
+   caught up with the stream are synchronized with it — rejoin them first so
+   the rendezvous counts them. *)
 and flush_waiting_rejoin t ~rank =
   let parked =
     Hashtbl.fold
@@ -585,13 +591,13 @@ and flush_waiting_rejoin t ~rank =
       end)
     parked
 
-(* Install the journal feed; idempotent, called when Respawn is armed. *)
+(* Install the replay feed; idempotent, called when Respawn is armed. *)
 let enable_replay_feed t =
-  Record_log.set_on_journal_append (journal t) (fun ~rank -> feed_waiting t ~rank)
+  Record_log.set_on_call (stream t) (fun ~rank -> feed_waiting t ~rank)
 
 let is_replaying t ~variant = Hashtbl.mem t.replaying variant
 
-(* A respawned variant starts replaying the journal from the beginning. *)
+(* A respawned variant starts replaying the stream from the beginning. *)
 let begin_replay t ~variant =
   enable_replay_feed t;
   obs_instant t ~ts:(Kernel.now t.kernel) ~name:"respawn_replay"
@@ -621,7 +627,7 @@ let handle_exit t (th : Proc.thread) (call : Syscall.call)
       | Master_running { slaves; nslaves } when variant = 0 ->
         (* master finished: replicate results to the waiting slaves *)
         master_side_effects t ~call result;
-        Record_log.journal_append (journal t) ~rank
+        Record_log.append_call (stream t) ~rank
           ~call:(Callinfo.normalize call) ~result;
         let bytes = Syscall.result_bytes result in
         let done_at =
@@ -653,7 +659,7 @@ let handle_exit t (th : Proc.thread) (call : Syscall.call)
         Kernel.resume t.kernel th Proc.Resume_continue
       | All_running st ->
         if variant = 0 then
-          Record_log.journal_append (journal t) ~rank
+          Record_log.append_call (stream t) ~rank
             ~call:(Callinfo.normalize call) ~result;
         st.remaining <- st.remaining - 1;
         if st.remaining = 0 then set_state t rank Idle;
@@ -668,7 +674,7 @@ let handle_exit t (th : Proc.thread) (call : Syscall.call)
 let handle_signal t (th : Proc.thread) sg =
   if t.shutting_down then ()
   else if Sigdefs.synchronous sg then begin
-    Record_log.note_signal (journal t) ~rank:th.Proc.rank ~signo:sg;
+    Record_log.append_signal (stream t) ~rank:th.Proc.rank ~signo:sg;
     Kernel.resume t.kernel th Proc.Resume_deliver
   end
   else begin

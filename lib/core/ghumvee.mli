@@ -6,7 +6,8 @@
     group's recovery policy ([Context.failure_policy]) absorbs the fault by
     quarantining the offending non-master replica, after which the group
     keeps running degraded. Under [Respawn], a fresh replica resynchronizes
-    by replaying the master syscall journal through the monitored path. *)
+    by replaying the master's calls from the replicated stream
+    ({!Record_log}) through the monitored path. *)
 
 open Remon_kernel
 open Remon_sim
@@ -36,9 +37,9 @@ type t = {
       (** stalled rendezvous grace periods (each doubling the delay) before
           the watchdog escalates *)
   replaying : (int, (int, int) Hashtbl.t) Hashtbl.t;
-      (** respawned variant -> per-rank journal replay position *)
+      (** respawned variant -> per-rank call cursor into the stream *)
   waiting_replay : (int * int, arrival) Hashtbl.t;
-      (** (rank, variant) -> replaying arrival parked at the journal head *)
+      (** (rank, variant) -> replaying arrival parked at the stream head *)
   mutable exits_seen : (int * int) list;
   mutable shutting_down : bool;
   mutable rendezvous_count : int;
@@ -70,13 +71,13 @@ val purge_variant : t -> variant:int -> unit
     variant's process is killed. *)
 
 val is_replaying : t -> variant:int -> bool
-(** The variant is between respawn and journal drain: still consuming the
-    master syscall journal, not yet rejoined to lockstep. *)
+(** The variant is between respawn and catch-up: still consuming the
+    master's calls from the stream, not yet rejoined to lockstep. *)
 
 val begin_replay : t -> variant:int -> unit
-(** Start journal replay for a freshly respawned variant: its calls are
-    verified against the master syscall journal and satisfied the way the
-    original execution went, until it catches up and rejoins the group. *)
+(** Start stream replay for a freshly respawned variant: its calls are
+    verified against the master's calls in the stream and satisfied the way
+    the original execution went, until it catches up and rejoins the group. *)
 
 val tracer : t -> Proc.tracer
 (** The raw stop-event handler (exposed for tests). *)

@@ -45,7 +45,7 @@ type t = {
       (* the broker lives in the kernel: descriptor classification uses the
          authoritative (master) fd table, since slave tables hold stubs *)
   replaying : (int, unit) Hashtbl.t;
-      (* variants resynchronizing from the journal: every call they make is
+      (* variants resynchronizing from the stream: every call they make is
          forced onto the monitored path so GHUMVEE can replay-verify it *)
   mutable revocations : int;
   mutable rejected : int;
@@ -245,7 +245,7 @@ let consume_token t (th : Proc.thread) =
   | Some tr -> tr.live <- false
   | None -> ()
 
-(* Respawn support: while a variant replays the journal, the broker routes
+(* Respawn support: while a variant replays the stream, the broker routes
    all of its calls monitored (see [classify]). *)
 let set_replaying t ~variant flag =
   if flag then Hashtbl.replace t.replaying variant ()

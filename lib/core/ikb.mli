@@ -29,7 +29,7 @@ type t = {
   mutable master_proc : Proc.process option;
       (** authoritative fd table for classification (slaves hold stubs) *)
   replaying : (int, unit) Hashtbl.t;
-      (** variants resynchronizing from the journal: forced monitored *)
+      (** variants resynchronizing from the stream: forced monitored *)
   mutable revocations : int;
   mutable rejected : int;
   mutable grants : int;
@@ -59,7 +59,7 @@ val consume_token : t -> Proc.thread -> unit
 
 val set_replaying : t -> variant:int -> bool -> unit
 (** While on, every call from [variant] is routed monitored so GHUMVEE can
-    replay-verify it against the journal. *)
+    replay-verify it against the master's calls in the stream. *)
 
 val was_temporal_grant : t -> Proc.thread -> token:int64 -> bool
 val note_approval : t -> Sysno.t -> unit

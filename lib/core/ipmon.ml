@@ -189,9 +189,9 @@ and master_proceed inst th ~token ~call ~return ~bytes =
           (cost.Cost_model.rb_write_fixed_ns
           + Cost_model.local_copy_ns cost ~bytes:(Syscall.result_bytes r));
         let need_wake = Rb.master_publish g.Context.rb entry logical in
-        (* Respawn support: fast-path calls also land in the master syscall
-           journal (no-op unless Mvee enabled it) *)
-        Record_log.journal_append g.Context.rb.Rb.sync_log ~rank:th.Proc.rank
+        (* fast-path calls also land in the replicated stream (no-op unless
+           Mvee turned capture on) *)
+        Record_log.append_call g.Context.rb.Rb.sync_log ~rank:th.Proc.rank
           ~call:(Callinfo.normalize call) ~result:r;
         (* slaves pulling the record bounce its cache lines back and forth *)
         charge th

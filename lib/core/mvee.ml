@@ -144,7 +144,8 @@ type handle = {
   mutable master_exit_ns : Vtime.t option;
   mutable exit_codes : (int * int) list; (* variant, code *)
   mutable heap_bases : int64 array;
-  recorder : Recording.builder option;
+  recorder : Recording.header option;
+      (* the pinned recording header, when config.record *)
 }
 
 type outcome = {
@@ -314,26 +315,25 @@ let launch (kernel : Kernel.t) (config : config) ~name
     Record_replay.create ~kernel ~log:group.Context.rb.Replication_buffer.sync_log
       ~enabled:(config.record_replay && nreplicas > 1)
   in
-  (* the Respawn policy needs the master syscall journal to resynchronize a
-     fresh replica; the other policies skip its memory cost *)
-  (match config.on_failure with
-  | Context.Respawn _ ->
-    Record_log.enable_journal group.Context.rb.Replication_buffer.sync_log
-  | Context.Kill_group | Context.Quarantine -> ());
+  (* a recording and the Respawn policy (a fresh replica resynchronizes
+     from the master's calls) read the whole replicated stream; otherwise
+     it keeps only the lock order *)
+  let respawn =
+    match config.on_failure with
+    | Context.Respawn _ -> true
+    | Context.Kill_group | Context.Quarantine -> false
+  in
+  if config.record || respawn then
+    Record_log.capture group.Context.rb.Replication_buffer.sync_log;
+  (* the header pins the key the group actually drew, so a replay of this
+     recording reproduces the exact same shm traffic *)
   let recorder =
-    if config.record then begin
-      (* the header pins the key the group actually drew, so a replay of
-         this recording reproduces the exact same shm traffic *)
-      let b =
-        Recording.builder
-          {
-            (header_of_config config ~workload:"") with
-            Recording.shm_key = group.Context.shm_key;
-          }
-      in
-      Recording.attach b group.Context.rb.Replication_buffer.sync_log;
-      Some b
-    end
+    if config.record then
+      Some
+        {
+          (header_of_config config ~workload:"") with
+          Recording.shm_key = group.Context.shm_key;
+        }
     else None
   in
   let handle =
@@ -459,12 +459,12 @@ let launch (kernel : Kernel.t) (config : config) ~name
         Ghumvee.attach g p;
         watch_exit variant p;
         (* A respawn that dies before rejoining lockstep — still replaying
-           the journal, e.g. a second injected crash mid-replay — is a
+           the stream, e.g. a second injected crash mid-replay — is a
            failed attempt, not a monitor-controlled death. Purge the stale
            replay state (parked [waiting_replay] arrivals of the dead
            incarnation would otherwise be fed into the next incarnation's
-           journal positions) so the next attempt re-consumes the journal
-           and lock-order log from position zero, then retry within budget.
+           call cursors) so the next attempt re-reads the stream's calls
+           and lock order from position zero, then retry within budget.
            Replay-mismatch kills drop the variant from the replaying set
            before killing, so they stay permanently quarantined as designed. *)
         Kernel.on_process_exit p (fun code ->
@@ -580,6 +580,22 @@ let stop (h : handle) =
       if p.Proc.alive then Kernel.kill_process h.kernel p ~code:0)
     h.group.Context.replicas
 
+(* The recording so far: the pinned header, the replicated stream and the
+   group's verdict. *)
+let recording h =
+  Option.map
+    (fun header ->
+      {
+        Recording.header;
+        events =
+          Record_log.events h.group.Context.rb.Replication_buffer.sync_log;
+        verdict =
+          Option.map
+            (fun v -> (Divergence.class_of v, Divergence.to_string v))
+            h.group.Context.divergence;
+      })
+    h.recorder
+
 (* Collects the outcome after [Kernel.run] has drained the simulation. *)
 let finish (h : handle) : outcome =
   let st = Kernel.stats h.kernel in
@@ -642,17 +658,7 @@ let finish (h : handle) : outcome =
           | None -> Kernel.now h.kernel);
     watchdog_retries = h.group.Context.watchdog_retries;
     metrics;
-    recording =
-      (match h.recorder with
-      | None -> None
-      | Some b ->
-        Recording.detach b h.group.Context.rb.Replication_buffer.sync_log;
-        let verdict =
-          match h.group.Context.divergence with
-          | None -> None
-          | Some v -> Some (Divergence.class_of v, Divergence.to_string v)
-        in
-        Some (Recording.finish b ~verdict));
+    recording = recording h;
   }
 
 (* One-shot convenience: fresh kernel, launch, run to completion. *)

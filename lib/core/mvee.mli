@@ -19,8 +19,8 @@ val backend_of_string : string -> backend option
     (re-export of {!Context.failure_policy}): [Kill_group] is the paper's
     treat-every-fault-as-an-attack behavior; [Quarantine] detaches the
     faulty replica and continues degraded; [Respawn] additionally replays
-    the master syscall journal to bring a fresh replica back, with
-    exponential backoff and a bounded respawn budget. *)
+    the master's calls from the replicated stream to bring a fresh replica
+    back, with exponential backoff and a bounded respawn budget. *)
 type failure_policy = Context.failure_policy =
   | Kill_group
   | Quarantine
@@ -87,7 +87,8 @@ type handle = {
   mutable master_exit_ns : Vtime.t option;
   mutable exit_codes : (int * int) list;
   mutable heap_bases : int64 array;
-  recorder : Recording.builder option;
+  recorder : Recording.header option;
+      (** the pinned recording header, when [config.record] *)
 }
 
 type outcome = {
@@ -135,6 +136,11 @@ val stop : handle -> unit
     no verdict, and silences pending watchdogs. The instance's descriptors
     (listener port included) are released immediately, so a successor can
     rebind the same port. Used by fleet rolling restarts. *)
+
+val recording : handle -> Recording.t option
+(** The recording so far, when [config.record]: the pinned header, the
+    group's replicated stream ({!Record_log}) and its verdict. [finish]
+    returns it as [outcome.recording]. *)
 
 val finish : handle -> outcome
 

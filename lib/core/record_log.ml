@@ -1,4 +1,4 @@
-(* Shared log of user-space synchronization events (Section 2.3).
+(* The replicated stream in the shared segment (Section 2.3).
 
    The record/replay agent embedded in each replica forces all replicas to
    acquire user-space locks in the order the master acquired them, removing
@@ -6,129 +6,96 @@
    different syscall sequences. The master appends (lock, thread-rank)
    events; each slave consumes them in order, gating its own acquisitions.
 
-   Under the Respawn recovery policy the log additionally carries a
-   master-side *syscall journal*: one (normalized call, result) record per
-   replicated call, per thread rank. A freshly respawned replica replays
-   the journal — its calls are verified against the master's stream and
+   While capturing, the same stream also carries every replicated master
+   call, signal and ring flush. A freshly respawned replica reads its
+   rank's calls from it — verified against the master's stream and
    satisfied from the recorded results — until it has caught up and can
-   rejoin the group at the next rendezvous. *)
+   rejoin the group; a recording is a copy of it. Every consumer is an int
+   cursor that steps over the events that are not its own. *)
 
 open Remon_kernel
 
-type event = { lock_id : int; thread_rank : int }
-
-(* One replicated master call, as the journal stores it. *)
-type callrec = { jcall : Syscall.call; jresult : Syscall.result }
-
-type jstream = { mutable recs : callrec array; mutable jlen : int }
-
-(* Live capture sink: sees every replicated master call, lock-order event,
-   injected signal and ring-flush boundary, independent of whether the
-   respawn journal is enabled. *)
-type sink = {
-  sink_call : rank:int -> call:Syscall.call -> result:Syscall.result -> unit;
-  sink_lock : lock_id:int -> thread_rank:int -> unit;
-  sink_signal : rank:int -> signo:int -> unit;
-  sink_flush : reason:string -> count:int -> unit;
-}
+type event =
+  | Call of { rank : int; call : Syscall.call; result : Syscall.result }
+  | Lock of { lock_id : int; thread_rank : int }
+  | Signal of { rank : int; signo : int }
+  | Flush of { reason : string; count : int }
 
 type t = {
   mutable events : event array;
   mutable len : int;
-  consumed : int array; (* per variant; index 0 unused *)
-  journal : (int, jstream) Hashtbl.t; (* thread rank -> master call stream *)
-  mutable journal_enabled : bool;
-  mutable on_journal_append : (rank:int -> unit) option;
-      (* fired after each journal append; GHUMVEE uses it to feed records
+  locks : int array; (* per-variant lock cursor; index 0 unused *)
+  mutable capture : bool;
+  mutable on_call : (rank:int -> unit) option;
+      (* fired after each appended call; GHUMVEE uses it to feed records
          to replaying replicas waiting at the head of the stream *)
-  mutable recorder : sink option;
 }
 
 let create ~nreplicas =
   {
-    events = Array.make 64 { lock_id = 0; thread_rank = 0 };
+    events = Array.make 64 (Lock { lock_id = 0; thread_rank = 0 });
     len = 0;
-    consumed = Array.make nreplicas 0;
-    journal = Hashtbl.create 4;
-    journal_enabled = false;
-    on_journal_append = None;
-    recorder = None;
+    locks = Array.make nreplicas 0;
+    capture = false;
+    on_call = None;
   }
 
+let capture t = t.capture <- true
 let length t = t.len
+let events t = Array.sub t.events 0 t.len
+let get t i = if i < t.len then Some t.events.(i) else None
 
-let append t ~lock_id ~thread_rank =
-  (match t.recorder with
-  | Some s -> s.sink_lock ~lock_id ~thread_rank
-  | None -> ());
+let push t ev =
   if t.len = Array.length t.events then begin
-    let bigger = Array.make (2 * t.len) t.events.(0) in
+    let bigger = Array.make (2 * t.len) ev in
     Array.blit t.events 0 bigger 0 t.len;
     t.events <- bigger
   end;
-  t.events.(t.len) <- { lock_id; thread_rank };
+  t.events.(t.len) <- ev;
   t.len <- t.len + 1
 
-(* The next unconsumed event for [variant], if the master has produced it. *)
-let peek t ~variant =
-  let pos = t.consumed.(variant) in
-  if pos < t.len then Some t.events.(pos) else None
+let append_lock t ~lock_id ~thread_rank = push t (Lock { lock_id; thread_rank })
 
-let advance t ~variant = t.consumed.(variant) <- t.consumed.(variant) + 1
+let append_call t ~rank ~call ~result =
+  if t.capture then begin
+    push t (Call { rank; call; result });
+    match t.on_call with Some f -> f ~rank | None -> ()
+  end
+
+let append_signal t ~rank ~signo =
+  if t.capture then push t (Signal { rank; signo })
+
+let append_flush t ~reason ~count =
+  if t.capture then push t (Flush { reason; count })
+
+let set_on_call t f = t.on_call <- Some f
+
+(* ------------------------------------------------------------------ *)
+(* Cursors *)
+
+let rec seek_lock t pos =
+  if pos >= t.len then pos
+  else
+    match t.events.(pos) with
+    | Lock _ -> pos
+    | Call _ | Signal _ | Flush _ -> seek_lock t (pos + 1)
+
+let rec seek_call t ~rank pos =
+  if pos >= t.len then pos
+  else
+    match t.events.(pos) with
+    | Call c when c.rank = rank -> pos
+    | Call _ | Lock _ | Signal _ | Flush _ -> seek_call t ~rank (pos + 1)
+
+(* The next lock event for [variant]; the cursor keeps the skipped
+   position even when there is none yet. *)
+let peek t ~variant =
+  let pos = seek_lock t t.locks.(variant) in
+  t.locks.(variant) <- pos;
+  get t pos
+
+let advance t ~variant = t.locks.(variant) <- seek_lock t t.locks.(variant) + 1
 
 (* A respawned replica restarts from the beginning: it must re-consume the
    whole lock-order history to reproduce the master's schedule. *)
-let reset_variant t ~variant = t.consumed.(variant) <- 0
-
-(* ------------------------------------------------------------------ *)
-(* Master syscall journal (Respawn replay) *)
-
-let enable_journal t = t.journal_enabled <- true
-let set_on_journal_append t f = t.on_journal_append <- Some f
-
-let jstream t rank =
-  match Hashtbl.find_opt t.journal rank with
-  | Some s -> s
-  | None ->
-    let s = { recs = [||]; jlen = 0 } in
-    Hashtbl.replace t.journal rank s;
-    s
-
-let journal_append t ~rank ~call ~result =
-  (* the recorder sees the full replicated stream even when the (memory-
-     costly) respawn journal is off *)
-  (match t.recorder with
-  | Some s -> s.sink_call ~rank ~call ~result
-  | None -> ());
-  if t.journal_enabled then begin
-    let s = jstream t rank in
-    if s.jlen = Array.length s.recs then begin
-      let cap = max 64 (2 * s.jlen) in
-      let bigger = Array.make cap { jcall = call; jresult = result } in
-      Array.blit s.recs 0 bigger 0 s.jlen;
-      s.recs <- bigger
-    end;
-    s.recs.(s.jlen) <- { jcall = call; jresult = result };
-    s.jlen <- s.jlen + 1;
-    match t.on_journal_append with Some f -> f ~rank | None -> ()
-  end
-
-let journal_length t ~rank =
-  match Hashtbl.find_opt t.journal rank with Some s -> s.jlen | None -> 0
-
-let journal_nth t ~rank n =
-  match Hashtbl.find_opt t.journal rank with
-  | Some s when n >= 0 && n < s.jlen -> Some s.recs.(n)
-  | _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* Recording sink *)
-
-let set_recorder t sink = t.recorder <- Some sink
-let clear_recorder t = t.recorder <- None
-
-let note_signal t ~rank ~signo =
-  match t.recorder with Some s -> s.sink_signal ~rank ~signo | None -> ()
-
-let note_flush t ~reason ~count =
-  match t.recorder with Some s -> s.sink_flush ~reason ~count | None -> ()
+let reset_variant t ~variant = t.locks.(variant) <- 0

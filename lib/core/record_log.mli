@@ -1,71 +1,81 @@
-(** Shared log of user-space synchronization events (Section 2.3): the
-    master appends lock-acquisition events; each slave consumes them in
-    order to replay the master's acquisition order.
+(** The replicated stream in the shared segment (Section 2.3): one
+    append-only, master-ordered array of events that every consumer reads
+    through its own int cursor.
 
-    Under the Respawn recovery policy the log also carries a master-side
-    syscall journal — one (normalized call, result) record per replicated
-    call per thread rank — that a freshly respawned replica replays to
-    resynchronize with the group. *)
+    - The record/replay agent's lock-order cursors (one per variant) read
+      the [Lock] events to replay the master's acquisition order.
+    - A respawned replica's call cursors (one per thread rank, kept by
+      GHUMVEE) read that rank's [Call] events to resynchronize with the
+      group.
+    - A recording ({!Recording}) is a slice of the stream.
+
+    A cursor moves past every event that is not its own, also when a poll
+    finds nothing, so each cursor does work linear in the stream length.
+
+    Memory bound: while capturing, one event per replicated master call,
+    delivered signal and ring flush, plus one per lock acquisition; without
+    capture, the lock events only. Nothing is compacted: the stream lives
+    as long as the group. *)
 
 open Remon_kernel
 
-type event = { lock_id : int; thread_rank : int }
-
-(** One replicated master call, as the journal stores it. *)
-type callrec = { jcall : Syscall.call; jresult : Syscall.result }
-
-(** Live capture sink ({!Recording} installs one): sees every replicated
-    master call, lock-order event, injected signal and ring-flush boundary
-    as it happens, independent of whether the respawn journal is enabled. *)
-type sink = {
-  sink_call : rank:int -> call:Syscall.call -> result:Syscall.result -> unit;
-  sink_lock : lock_id:int -> thread_rank:int -> unit;
-  sink_signal : rank:int -> signo:int -> unit;
-  sink_flush : reason:string -> count:int -> unit;
-}
+type event =
+  | Call of { rank : int; call : Syscall.call; result : Syscall.result }
+      (** one replicated master call on thread [rank] *)
+  | Lock of { lock_id : int; thread_rank : int }
+      (** user-space lock acquisition order (Section 2.3 agent) *)
+  | Signal of { rank : int; signo : int }  (** delivered/injected signal *)
+  | Flush of { reason : string; count : int }  (** ring drain boundary *)
 
 type t
 
 val create : nreplicas:int -> t
+
+val capture : t -> unit
+(** Keep every event from now on. Off by default: [Mvee] turns it on when
+    the run is recorded or the recovery policy is [Respawn]; otherwise only
+    [Lock] events are kept. *)
+
 val length : t -> int
-val append : t -> lock_id:int -> thread_rank:int -> unit
+val events : t -> event array
+(** A copy of the whole stream. *)
+
+(** {1 Appending (master side)} *)
+
+val append_lock : t -> lock_id:int -> thread_rank:int -> unit
+(** Always kept. *)
+
+val append_call :
+  t -> rank:int -> call:Syscall.call -> result:Syscall.result -> unit
+(** No-op unless capturing. *)
+
+val append_signal : t -> rank:int -> signo:int -> unit
+(** No-op unless capturing. *)
+
+val append_flush : t -> reason:string -> count:int -> unit
+(** No-op unless capturing. *)
+
+val set_on_call : t -> (rank:int -> unit) -> unit
+(** Callback fired after each appended [Call]; GHUMVEE uses it to feed
+    replaying replicas waiting at the head of their call cursor. *)
+
+(** {1 Lock-order cursors} *)
 
 val peek : t -> variant:int -> event option
-(** Next unconsumed event for [variant], if the master has produced it. *)
+(** The next [Lock] event for [variant], if the master has produced it. *)
 
 val advance : t -> variant:int -> unit
+(** Move [variant]'s lock cursor past its next [Lock] event. *)
 
 val reset_variant : t -> variant:int -> unit
-(** Rewind [variant]'s consumption position to the beginning; a respawned
-    replica re-consumes the whole lock-order history. *)
+(** Rewind [variant]'s lock cursor to 0; a respawned replica re-consumes
+    the whole lock-order history. *)
 
-(** {1 Master syscall journal (Respawn replay)} *)
+(** {1 Call cursors} *)
 
-val enable_journal : t -> unit
-(** Start journaling replicated master calls. Off by default: the journal
-    costs memory proportional to the run, so [Mvee] enables it only under
-    the [Respawn] recovery policy. *)
+val seek_call : t -> rank:int -> int -> int
+(** [seek_call t ~rank pos] is the index of the first [Call] on [rank] at
+    or after [pos], or [length t] when the master has produced none yet. *)
 
-val set_on_journal_append : t -> (rank:int -> unit) -> unit
-(** Callback fired after each journal append; GHUMVEE uses it to feed
-    fresh records to replaying replicas waiting at the head of a stream. *)
-
-val journal_append :
-  t -> rank:int -> call:Syscall.call -> result:Syscall.result -> unit
-(** No-op unless journaling is enabled. *)
-
-val journal_length : t -> rank:int -> int
-val journal_nth : t -> rank:int -> int -> callrec option
-
-(** {1 Recording sink} *)
-
-val set_recorder : t -> sink -> unit
-(** Install the live-capture sink. At most one; the last install wins. *)
-
-val clear_recorder : t -> unit
-
-val note_signal : t -> rank:int -> signo:int -> unit
-(** Feed a delivered/injected signal to the recorder. No-op without one. *)
-
-val note_flush : t -> reason:string -> count:int -> unit
-(** Feed a ring-flush boundary to the recorder. No-op without one. *)
+val get : t -> int -> event option
+(** The event at an index; [None] at or past the head. *)

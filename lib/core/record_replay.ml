@@ -25,7 +25,7 @@ let create ~kernel ~log ~enabled = { kernel; log; enabled; gated = 0 }
 (* Master side: runs right after a successful acquisition. *)
 let master_acquired t ~lock_id ~thread_rank =
   if t.enabled then begin
-    Record_log.append t.log ~lock_id ~thread_rank;
+    Record_log.append_lock t.log ~lock_id ~thread_rank;
     Kernel.kick t.kernel
   end
 
@@ -35,8 +35,9 @@ let slave_gate t ~variant ~lock_id ~thread_rank =
   if t.enabled then begin
     let ready () =
       match Record_log.peek t.log ~variant with
-      | Some ev -> ev.Record_log.lock_id = lock_id && ev.thread_rank = thread_rank
-      | None -> false
+      | Some (Record_log.Lock l) ->
+        l.lock_id = lock_id && l.thread_rank = thread_rank
+      | Some _ | None -> false
     in
     if not (ready ()) then begin
       t.gated <- t.gated + 1;

@@ -17,7 +17,7 @@ type header = {
   shm_key : int; (* the group's SysV key; 0 = unknown (allocate fresh) *)
 }
 
-type event =
+type event = Record_log.event =
   | Call of { rank : int; call : Syscall.call; result : Syscall.result }
   | Lock of { lock_id : int; thread_rank : int }
   | Signal of { rank : int; signo : int }
@@ -198,42 +198,3 @@ let stream_digest t =
   let w = Syswire.W.create ~initial:4096 () in
   Array.iter (write_event w) t.events;
   Digest.to_hex (Digest.string (Syswire.W.contents w))
-
-(* ------------------------------------------------------------------ *)
-(* Live capture *)
-
-type builder = {
-  bheader : header;
-  mutable bevents : event array;
-  mutable blen : int;
-}
-
-let builder bheader = { bheader; bevents = [||]; blen = 0 }
-
-let record b ev =
-  if b.blen = Array.length b.bevents then begin
-    let cap = max 256 (2 * b.blen) in
-    let bigger = Array.make cap ev in
-    Array.blit b.bevents 0 bigger 0 b.blen;
-    b.bevents <- bigger
-  end;
-  b.bevents.(b.blen) <- ev;
-  b.blen <- b.blen + 1
-
-let event_count b = b.blen
-
-let attach b log =
-  Record_log.set_recorder log
-    {
-      Record_log.sink_call =
-        (fun ~rank ~call ~result -> record b (Call { rank; call; result }));
-      sink_lock =
-        (fun ~lock_id ~thread_rank -> record b (Lock { lock_id; thread_rank }));
-      sink_signal = (fun ~rank ~signo -> record b (Signal { rank; signo }));
-      sink_flush = (fun ~reason ~count -> record b (Flush { reason; count }));
-    }
-
-let detach _b log = Record_log.clear_recorder log
-
-let finish b ~verdict =
-  { header = b.bheader; events = Array.sub b.bevents 0 b.blen; verdict }

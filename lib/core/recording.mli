@@ -1,9 +1,9 @@
 (** Versioned binary recordings of a replicated run (deployable
-    record/replay, after rr): the master's full replicated stream —
-    syscalls with normalized args and results, lock-order events, signal
-    deliveries and ring-flush boundaries — captured live through the
-    {!Record_log} sink and serialized with the {!Remon_kernel.Syswire}
-    codec.
+    record/replay, after rr). A recording is a header, a slice of the
+    group's replicated stream ({!Record_log}: syscalls with normalized args
+    and results, lock-order events, signal deliveries and ring-flush
+    boundaries, in master order) and the verdict, serialized with the
+    {!Remon_kernel.Syswire} codec.
 
     File layout (format version 1):
     {v
@@ -38,7 +38,7 @@ type header = {
           [0] = unknown *)
 }
 
-type event =
+type event = Record_log.event =
   | Call of { rank : int; call : Syscall.call; result : Syscall.result }
       (** one replicated master call on thread [rank] *)
   | Lock of { lock_id : int; thread_rank : int }
@@ -79,18 +79,3 @@ val with_workload : t -> string -> t
 val stream_digest : t -> string
 (** MD5 (hex) over the serialized event stream alone — header-independent,
     so the same execution recorded under different labels compares equal. *)
-
-(* {1 Live capture} *)
-
-type builder
-
-val builder : header -> builder
-val record : builder -> event -> unit
-val event_count : builder -> int
-
-val attach : builder -> Record_log.t -> unit
-(** Install the builder as the log's recording sink. *)
-
-val detach : builder -> Record_log.t -> unit
-
-val finish : builder -> verdict:(string * string) option -> t

@@ -257,7 +257,7 @@ let lag t ~rank =
 let deactivate t ~variant = if variant > 0 then t.active.(variant) <- false
 
 (* Re-admit a (respawned) replica: it resumes consumption at the master's
-   current position — its backlog was satisfied from the journal, not the
+   current position — its backlog was satisfied from the stream, not the
    buffer, so the stale positions are fast-forwarded. *)
 let reactivate t ~variant =
   if variant > 0 then begin

@@ -99,6 +99,6 @@ val deactivate : t -> variant:int -> unit
 val reactivate : t -> variant:int -> unit
 (** Re-admit a respawned replica, fast-forwarding its consumption
     positions to the master's current positions (its backlog was satisfied
-    from the journal, not the buffer). *)
+    from the replicated stream, not the buffer). *)
 
 val is_active : t -> variant:int -> bool

@@ -156,7 +156,7 @@ let rec flush ?th t reason =
            cost drops to a spin poll *)
         if List.mem s.rank !seen_ranks then entry.Rb.batch_follower <- true
         else seen_ranks := s.rank :: !seen_ranks;
-        Record_log.journal_append t.rb.Rb.sync_log ~rank:s.rank ~call:s.call
+        Record_log.append_call t.rb.Rb.sync_log ~rank:s.rank ~call:s.call
           ~result:s.result;
         t.pending_bytes <-
           t.pending_bytes
@@ -186,7 +186,7 @@ let rec flush ?th t reason =
     | Demand -> t.flushes_demand <- t.flushes_demand + 1);
     t.records_flushed <- t.records_flushed + !drained;
     if !drained > t.max_batch then t.max_batch <- !drained;
-    Record_log.note_flush t.rb.Rb.sync_log
+    Record_log.append_flush t.rb.Rb.sync_log
       ~reason:(flush_reason_to_string reason)
       ~count:!drained;
     (* fixed costs, once per drain instead of once per record: the append

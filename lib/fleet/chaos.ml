@@ -257,16 +257,8 @@ let run_scenario ?obs cfg : report =
       List.rev fleet.Fleet.handles
       |> List.mapi (fun i (h : Mvee.handle) -> (i, h))
       |> List.filter_map (fun (i, (h : Mvee.handle)) ->
-             match (h.Mvee.group.Context.divergence, h.Mvee.recorder) with
-             | Some v, Some b ->
-               let log =
-                 h.Mvee.group.Context.rb.Replication_buffer.sync_log
-               in
-               Recording.detach b log;
-               let r =
-                 Recording.finish b
-                   ~verdict:(Some (Divergence.class_of v, Divergence.to_string v))
-               in
+             match Mvee.recording h with
+             | Some ({ Recording.verdict = Some _; _ } as r) ->
                let r = Recording.with_workload r "chaos-kv" in
                let path =
                  Filename.concat dir

@@ -7,7 +7,7 @@
    probes route around its dead port) and relaunches a fresh generation on
    the same port after exponential backoff, up to a bounded budget. The
    per-instance Respawn policy still handles single-replica faults with the
-   record-log journal replay; the two layers compose.
+   replicated-stream replay; the two layers compose.
 
    Rolling restarts are operator processes inside the simulation: drain the
    backend at the LB, wait for its proxied connections to finish, stop the
@@ -260,7 +260,7 @@ let rolling_restart t ~lb ?(max_unavailable = 1) ?(pause_ns = 200_000)
 
 type totals = {
   quarantines : int; (* intra-instance replica quarantines *)
-  respawns : int; (* intra-instance journal-replay respawns *)
+  respawns : int; (* intra-instance stream-replay respawns *)
   watchdog_retries : int;
   faults_injected : int;
   verdicts : Divergence.t list; (* newest first *)

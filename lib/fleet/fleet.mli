@@ -80,7 +80,7 @@ val rolling_restart :
 
 type totals = {
   quarantines : int;  (** intra-instance replica quarantines *)
-  respawns : int;  (** intra-instance journal-replay respawns *)
+  respawns : int;  (** intra-instance stream-replay respawns *)
   watchdog_retries : int;
   faults_injected : int;
   verdicts : Divergence.t list;

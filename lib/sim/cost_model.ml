@@ -45,7 +45,7 @@ type t = {
          under the Respawn recovery policy *)
   replay_record_ns : int;
       (* per-record cost of satisfying a respawned replica's syscall from
-         the master's journal during resynchronization *)
+         the master's recorded call during resynchronization *)
   link_latency_ns : int;
       (* one-way propagation delay of an inter-host link (LAN-scale
          default). In sharded runs this is also the conservative

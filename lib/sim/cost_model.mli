@@ -28,7 +28,7 @@ type t = {
   respawn_spawn_ns : int;
       (** monitor-side cost of forking + attaching a replacement replica *)
   replay_record_ns : int;
-      (** per-record cost of journal-driven resynchronization replay *)
+      (** per-record cost of stream-driven resynchronization replay *)
   link_latency_ns : int;
       (** one-way inter-host propagation delay; doubles as the
           conservative-synchronization lookahead of sharded runs *)

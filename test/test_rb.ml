@@ -187,18 +187,22 @@ let prop_epoll_map_translation =
         (fun fd (ud, _) -> Int64.equal ud (Int64.of_int (0x2000 + fd)))
         fds slave)
 
-(* ---- record/replay log ---- *)
+(* ---- replicated stream (record log) ---- *)
+
+let lock_rank = function
+  | Some (Record_log.Lock l) -> Some l.thread_rank
+  | Some _ | None -> None
 
 let test_record_log_order () =
   let log = Record_log.create ~nreplicas:2 in
-  Record_log.append log ~lock_id:1 ~thread_rank:2;
-  Record_log.append log ~lock_id:1 ~thread_rank:1;
-  (match Record_log.peek log ~variant:1 with
-  | Some ev -> Alcotest.(check int) "first event rank" 2 ev.Record_log.thread_rank
+  Record_log.append_lock log ~lock_id:1 ~thread_rank:2;
+  Record_log.append_lock log ~lock_id:1 ~thread_rank:1;
+  (match lock_rank (Record_log.peek log ~variant:1) with
+  | Some rank -> Alcotest.(check int) "first event rank" 2 rank
   | None -> Alcotest.fail "expected event");
   Record_log.advance log ~variant:1;
-  (match Record_log.peek log ~variant:1 with
-  | Some ev -> Alcotest.(check int) "second event rank" 1 ev.Record_log.thread_rank
+  (match lock_rank (Record_log.peek log ~variant:1) with
+  | Some rank -> Alcotest.(check int) "second event rank" 1 rank
   | None -> Alcotest.fail "expected second event");
   Record_log.advance log ~variant:1;
   Alcotest.(check bool) "log drained" true (Record_log.peek log ~variant:1 = None)
@@ -209,18 +213,110 @@ let prop_record_log_growth =
     (fun n ->
       let log = Record_log.create ~nreplicas:2 in
       for i = 0 to n - 1 do
-        Record_log.append log ~lock_id:(i mod 7) ~thread_rank:(i mod 3)
+        Record_log.append_lock log ~lock_id:(i mod 7) ~thread_rank:(i mod 3)
       done;
       let ok = ref true in
       for i = 0 to n - 1 do
         (match Record_log.peek log ~variant:1 with
-        | Some ev ->
-          if ev.Record_log.lock_id <> i mod 7 || ev.thread_rank <> i mod 3 then
-            ok := false
-        | None -> ok := false);
+        | Some (Record_log.Lock l) ->
+          if l.lock_id <> i mod 7 || l.thread_rank <> i mod 3 then ok := false
+        | Some _ | None -> ok := false);
         Record_log.advance log ~variant:1
       done;
       !ok && Record_log.length log = n)
+
+(* Model check of the one stream and its cursors: random interleavings of
+   lock, call, signal and flush appends, with capture on and off. Each
+   call carries a unique id in its result so order is observable. *)
+type op = Op_lock of int * int | Op_call of int | Op_signal | Op_flush
+
+let gen_ops =
+  QCheck2.Gen.(
+    list_size (int_range 0 300)
+      (frequency
+         [
+           (3, map2 (fun l r -> Op_lock (l, r)) (int_range 0 5) (int_range 0 2));
+           (4, map (fun r -> Op_call r) (int_range 0 2));
+           (1, pure Op_signal);
+           (1, pure Op_flush);
+         ]))
+
+let nranks = 3
+
+let prop_stream_cursors =
+  QCheck2.Test.make ~name:"stream cursors read their own events" ~count:200
+    QCheck2.Gen.(pair bool gen_ops)
+    (fun (capture, ops) ->
+      let log = Record_log.create ~nreplicas:2 in
+      if capture then Record_log.capture log;
+      (* one call cursor per rank, polled after every append: at the head
+         it must find nothing, and the next call once one is appended *)
+      let cursors = Array.make nranks 0 in
+      let seen = Array.make nranks [] in
+      let ok = ref true in
+      let poll rank =
+        let rec go () =
+          let pos = Record_log.seek_call log ~rank cursors.(rank) in
+          cursors.(rank) <- pos;
+          match Record_log.get log pos with
+          | Some (Record_log.Call { result = Syscall.Ok_int id; _ }) ->
+            seen.(rank) <- id :: seen.(rank);
+            cursors.(rank) <- pos + 1;
+            go ()
+          | Some _ -> ok := false
+          | None -> if pos <> Record_log.length log then ok := false
+        in
+        go ()
+      in
+      List.iteri
+        (fun id op ->
+          (match op with
+          | Op_lock (lock_id, thread_rank) ->
+            Record_log.append_lock log ~lock_id ~thread_rank
+          | Op_call rank ->
+            Record_log.append_call log ~rank ~call:Syscall.Gettimeofday
+              ~result:(Syscall.Ok_int id)
+          | Op_signal -> Record_log.append_signal log ~rank:0 ~signo:10
+          | Op_flush -> Record_log.append_flush log ~reason:"full" ~count:1);
+          for rank = 0 to nranks - 1 do
+            let before = List.length seen.(rank) in
+            poll rank;
+            let expected =
+              match op with Op_call r when capture && r = rank -> 1 | _ -> 0
+            in
+            if List.length seen.(rank) - before <> expected then ok := false
+          done)
+        ops;
+      (* the lock cursor yields exactly the lock subsequence *)
+      let locks =
+        List.filter_map
+          (function Op_lock (l, r) -> Some (l, r) | _ -> None)
+          ops
+      in
+      let rec drain acc =
+        match Record_log.peek log ~variant:1 with
+        | Some (Record_log.Lock l) ->
+          Record_log.advance log ~variant:1;
+          drain ((l.lock_id, l.thread_rank) :: acc)
+        | Some _ -> None
+        | None -> Some (List.rev acc)
+      in
+      let calls rank =
+        if not capture then []
+        else
+          List.concat
+            (List.mapi
+               (fun id -> function Op_call r when r = rank -> [ id ] | _ -> [])
+               ops)
+      in
+      let kept = if capture then List.length ops else List.length locks in
+      !ok
+      && drain [] = Some locks
+      && List.for_all
+           (fun rank -> List.rev seen.(rank) = calls rank)
+           (List.init nranks Fun.id)
+      && Record_log.length log = kept
+      && Array.length (Record_log.events log) = kept)
 
 let tc = Alcotest.test_case
 
@@ -252,5 +348,6 @@ let () =
         [
           tc "fifo order per variant" `Quick test_record_log_order;
           QCheck_alcotest.to_alcotest prop_record_log_growth;
+          QCheck_alcotest.to_alcotest prop_stream_cursors;
         ] );
     ]

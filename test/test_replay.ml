@@ -229,8 +229,10 @@ let test_replay_verdict_only () =
 
 (* ------------------------------------------------------------------ *)
 (* Double respawn: two injected slave crashes under a Respawn budget of 3
-   must both recover (journal catch-up after reset_variant), leaving a
-   clean verdict and the twice-respawned slave exiting 0. *)
+   must both recover (stream catch-up after reset_variant), leaving a clean
+   verdict and the twice-respawned slave exiting 0. The respawned replicas
+   read the same stream the recording is cut from, and it still replays
+   identically. *)
 
 let test_double_respawn () =
   let faults =
@@ -244,13 +246,55 @@ let test_double_respawn () =
       ~on_failure:(Mvee.Respawn { max_respawns = 3; backoff_ns = Vtime.us 200 })
       ~faults ()
   in
-  let o = Mvee.run_program cfg ~name:"respawn2" ~body:(mixed_body ~iters:200 ()) in
+  let body = mixed_body ~iters:200 () in
+  let o = Mvee.run_program cfg ~name:"respawn2" ~body in
   Alcotest.(check int) "both crashes recovered" 2 o.Mvee.respawns;
   Alcotest.(check int) "both faults fired" 2 o.Mvee.faults_injected;
   Alcotest.(check bool) "clean verdict" true (o.Mvee.verdict = None);
   Alcotest.(check bool)
     "twice-respawned slave finished cleanly" true
-    (List.mem (1, 0) o.Mvee.exit_codes)
+    (List.mem (1, 0) o.Mvee.exit_codes);
+  match o.Mvee.recording with
+  | None -> Alcotest.fail "run captured no recording"
+  | Some recorded ->
+    Alcotest.(check bool)
+      "replays identically" true (replay_exn recorded ~body).Replayer.identical
+
+(* The stream does not depend on which consumers read it: a fault-free run
+   records the same events whether only the recording (Kill_group,
+   Quarantine) or also the respawn machinery (Respawn) turns capture on.
+   The digest pins the stream of `remon run -w parsec.blackscholes -b remon
+   --record`. *)
+let test_stream_independent_of_policy () =
+  let profile =
+    match Remon_workloads.Registry.find "parsec.blackscholes" with
+    | Some (Remon_workloads.Registry.Profile_workload p) -> p
+    | _ -> Alcotest.fail "parsec.blackscholes is not a profile workload"
+  in
+  (* the key the CLI's run draws: its native baseline run takes the first *)
+  let shm_key = Some (Context.mvee_shm_key_base + 32) in
+  let recorded on_failure =
+    let r =
+      Remon_workloads.Runner.run_profile profile
+        { (config ~on_failure ()) with Mvee.shm_key }
+    in
+    match r.Remon_workloads.Runner.outcome.Mvee.recording with
+    | Some r -> r
+    | None -> Alcotest.fail "run captured no recording"
+  in
+  let base = recorded Mvee.Kill_group in
+  Alcotest.(check string) "stream digest" "6bb56a9618db6126aaf428591f6241ae"
+    (Recording.stream_digest base);
+  List.iter
+    (fun (label, on_failure) ->
+      let r = recorded on_failure in
+      Alcotest.(check bool)
+        (label ^ ": same events as kill-group") true
+        (Recording.equal base { r with Recording.header = base.Recording.header }))
+    [
+      ("quarantine", Mvee.Quarantine);
+      ("respawn", Mvee.Respawn { max_respawns = 3; backoff_ns = Vtime.ms 1 });
+    ]
 
 let () =
   Alcotest.run "replay"
@@ -295,5 +339,7 @@ let () =
         [
           Alcotest.test_case "double respawn recovers twice" `Quick
             test_double_respawn;
+          Alcotest.test_case "stream independent of policy" `Quick
+            test_stream_independent_of_policy;
         ] );
     ]
