@@ -144,9 +144,42 @@ let config_of backend nreplicas level seed faults on_failure =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Observability plumbing *)
+(* Observability plumbing: one [Obs.t] per observed run, asked for by
+   --trace, --metrics or --trace-lines and finalized in one place. *)
 
 module Obs = Remon_obs.Obs
+
+type obs_opts = { trace_file : string option; metrics : bool; trace_lines : int }
+
+let trace_file_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "trace" ] ~docv:"FILE"
+        ~doc:
+          "Write a structured trace of the run to FILE in Chrome trace-event \
+           JSON (load it in Perfetto / chrome://tracing). Identical seeds \
+           produce byte-identical files, independent of --domains. With \
+           --repeat, the base seed's run is traced.")
+
+let metrics_arg =
+  Arg.(
+    value & flag
+    & info [ "metrics" ]
+        ~doc:
+          "Print the metrics summary: per-syscall latency histograms, \
+           rendezvous and route counts, RB occupancy high-water marks, \
+           ptrace round-trips.")
+
+let obs_term =
+  Term.(
+    const (fun trace_file metrics -> { trace_file; metrics; trace_lines = 0 })
+    $ trace_file_arg $ metrics_arg)
+
+let obs_of opts =
+  if opts.trace_file <> None || opts.metrics || opts.trace_lines > 0 then
+    Some (Obs.create ())
+  else None
 
 (* Traces are test oracles: the write must be atomic so a concurrent
    reader (or an interrupted run) never sees a torn file. *)
@@ -161,15 +194,26 @@ let print_metrics rows =
   Printf.printf "\nmetrics:\n";
   List.iter (fun (k, v) -> Printf.printf "  %-44s %s\n" k v) rows
 
+(* --trace-lines: the first routing decisions, rendered from the trace. *)
+let print_route_lines opts = function
+  | Some o when opts.trace_lines > 0 ->
+    Printf.printf "\nsyscall trace (first %d lines):\n" opts.trace_lines;
+    List.iteri
+      (fun i line -> if i < opts.trace_lines then Printf.printf "  %s\n" line)
+      (Remon_kernel.Kernel.route_lines o)
+  | _ -> ()
+
 (* Dump the trace and/or print the metrics summary collected in [o]. *)
-let finalize_obs ~trace_file ~metrics o =
-  (match trace_file with
-  | Some path ->
-    write_file_atomic path (Obs.export_string o);
-    Printf.printf "\ntrace written      : %s (%d events)\n" path
-      (Remon_util.Vec.length o.Obs.trace.Remon_obs.Trace.events)
-  | None -> ());
-  if metrics then print_metrics (Obs.summary (Some o))
+let finalize_obs opts = function
+  | Some o ->
+    (match opts.trace_file with
+    | Some path ->
+      write_file_atomic path (Obs.export_string o);
+      Printf.printf "\ntrace written      : %s (%d events)\n" path
+        (Remon_obs.Trace.length o.Obs.trace)
+    | None -> ());
+    if opts.metrics then print_metrics (Obs.summary (Some o))
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Commands *)
@@ -182,83 +226,108 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc:"List registered workloads.") Term.(const run $ const ())
 
+(* One workload run natively and under the configuration: what a single
+   run summarizes and what each --repeat row condenses. *)
+type measured =
+  | Profile_run of Runner.run_result * Runner.run_result
+  | Server_run of Runner.server_run * Runner.server_run
+
+let measure ?obs workload (config : Mvee.config) latency =
+  let native_config = { config with Mvee.backend = Mvee.Native } in
+  match workload with
+  | Registry.Profile_workload profile ->
+    let native = Runner.run_profile profile native_config in
+    Profile_run (native, Runner.run_profile ?obs profile config)
+  | Registry.Server_workload (server, client) ->
+    let native = Runner.run_server_bench ~latency ~server ~client native_config in
+    Server_run
+      (native, Runner.run_server_bench ~latency ?obs ~server ~client config)
+
+let ratio a b = Vtime.to_float_ns a /. Vtime.to_float_ns b
+
+let client_overhead (native : Runner.server_run) (under : Runner.server_run) =
+  Remon_util.Table.fmt_pct
+    (ratio under.Runner.client_duration native.Runner.client_duration -. 1.)
+
 (* --repeat mode: fan consecutive seeds out over the domain pool and print
-   one summary row per seed, in seed order. When tracing is requested the
-   base seed's run carries the sink; each job allocates its own [Obs.t]
+   one summary row per seed, in seed order. When observation is requested
+   the base seed's run carries the sink; each job allocates its own [Obs.t]
    inside its own domain, so the exported bytes cannot depend on the
    domain count — that is the determinism contract the CI diff checks. *)
-let run_repeated workload config latency ~repeat ~domains ~trace_file ~metrics =
+let run_repeated workload config latency ~repeat ~domains opts =
   let seeds = List.init repeat (fun i -> config.Mvee.seed + i) in
   Printf.printf "running %d seeds (%d..%d) over %d domain(s)\n\n" repeat
     config.Mvee.seed
     (config.Mvee.seed + repeat - 1)
     domains;
-  let want_obs seed =
-    if (trace_file <> None || metrics) && seed = config.Mvee.seed then
-      Some (Obs.create ())
-    else None
-  in
   let rows =
-    match workload with
-    | Registry.Profile_workload profile ->
-      Remon_util.Pool.map ~domains
-        (fun seed ->
-          let config = { config with Mvee.seed = seed } in
-          let obs = want_obs seed in
-          let row =
-            try
-              let native =
-                Runner.run_profile profile { config with Mvee.backend = Mvee.Native }
-              in
-              let under = Runner.run_profile ?obs profile config in
-              let o = under.Runner.outcome in
-              Printf.sprintf "seed %-6d normalized %.3f  syscalls %-7d faults %-3d verdict %s"
-                seed
-                (Vtime.to_float_ns under.Runner.duration
-                /. Vtime.to_float_ns native.Runner.duration)
-                o.Mvee.syscalls o.Mvee.faults_injected
-                (match o.Mvee.verdict with
-                | None -> "clean"
-                | Some v -> Divergence.to_string v)
-            with Runner.Mvee_terminated v ->
-              Printf.sprintf "seed %-6d terminated: %s" seed (Divergence.to_string v)
-          in
-          (row, obs))
-        seeds
-    | Registry.Server_workload (server, client) ->
-      Remon_util.Pool.map ~domains
-        (fun seed ->
-          let config = { config with Mvee.seed = seed } in
-          let obs = want_obs seed in
-          let row =
-            try
-              let native =
-                Runner.run_server_bench ~latency ~server ~client
-                  { config with Mvee.backend = Mvee.Native }
-              in
-              let under =
-                Runner.run_server_bench ~latency ?obs ~server ~client config
-              in
-              Printf.sprintf "seed %-6d overhead %-8s responses %d  %s" seed
-                (Remon_util.Table.fmt_pct
-                   (Vtime.to_float_ns under.Runner.client_duration
-                    /. Vtime.to_float_ns native.Runner.client_duration
-                   -. 1.))
-                under.Runner.responses
-                (Latency.summary_to_string under.Runner.latency)
-            with Runner.Mvee_terminated v ->
-              Printf.sprintf "seed %-6d terminated: %s" seed (Divergence.to_string v)
-          in
-          (row, obs))
-        seeds
+    Remon_util.Pool.map ~domains
+      (fun seed ->
+        let obs = if seed = config.Mvee.seed then obs_of opts else None in
+        let row =
+          match measure ?obs workload { config with Mvee.seed } latency with
+          | Profile_run (native, under) ->
+            let o = under.Runner.outcome in
+            Printf.sprintf "seed %-6d normalized %.3f  syscalls %-7d faults %-3d verdict %s"
+              seed
+              (ratio under.Runner.duration native.Runner.duration)
+              o.Mvee.syscalls o.Mvee.faults_injected
+              (match o.Mvee.verdict with
+              | None -> "clean"
+              | Some v -> Divergence.to_string v)
+          | Server_run (native, under) ->
+            Printf.sprintf "seed %-6d overhead %-8s responses %d  %s" seed
+              (client_overhead native under)
+              under.Runner.responses
+              (Latency.summary_to_string under.Runner.latency)
+          | exception Runner.Mvee_terminated v ->
+            Printf.sprintf "seed %-6d terminated: %s" seed (Divergence.to_string v)
+        in
+        (row, obs))
+      seeds
   in
   List.iter (fun (row, _) -> print_endline row) rows;
   List.iter
     (fun (_, obs) ->
-      match obs with
-      | Some o -> finalize_obs ~trace_file ~metrics o
-      | None -> ())
+      print_route_lines opts obs;
+      finalize_obs opts obs)
     rows
+
+let print_summary faults = function
+  | Profile_run (native, under) ->
+    let o = under.Runner.outcome in
+    Printf.printf "native runtime     : %s\n" (Vtime.to_string native.Runner.duration);
+    Printf.printf "mvee runtime       : %s (normalized %.2f)\n"
+      (Vtime.to_string under.Runner.duration)
+      (ratio under.Runner.duration native.Runner.duration);
+    Printf.printf "syscalls           : %d (monitored %d, fast-path %d)\n"
+      o.Mvee.syscalls o.Mvee.monitored o.Mvee.ipmon_fastpath;
+    Printf.printf "ptrace stops       : %d, rendezvous %d\n" o.Mvee.ptrace_stops
+      o.Mvee.rendezvous;
+    Printf.printf "rb records/resets  : %d/%d\n" o.Mvee.rb_records o.Mvee.rb_resets;
+    (match o.Mvee.verdict with
+    | Some v -> Printf.printf "verdict            : %s\n" (Divergence.to_string v)
+    | None -> ());
+    if faults <> [] || o.Mvee.faults_injected > 0 then begin
+      Printf.printf "faults injected    : %d (plan: %s)\n" o.Mvee.faults_injected
+        (Fault.to_string faults);
+      Printf.printf "quarantines        : %d, respawns %d, watchdog retries %d\n"
+        o.Mvee.quarantines o.Mvee.respawns o.Mvee.watchdog_retries;
+      Printf.printf "degraded time      : %s\n" (Vtime.to_string o.Mvee.degraded_ns)
+    end
+  | Server_run (native, under) ->
+    Printf.printf "native client time : %s\n"
+      (Vtime.to_string native.Runner.client_duration);
+    Printf.printf "mvee client time   : %s (overhead %s)\n"
+      (Vtime.to_string under.Runner.client_duration)
+      (client_overhead native under);
+    Printf.printf "responses          : %d (transport errors %d, truncated %d)\n"
+      under.Runner.responses under.Runner.transport_errors
+      under.Runner.truncated_requests;
+    Printf.printf "request latency    : %s\n"
+      (Latency.summary_to_string under.Runner.latency);
+    Printf.printf "  (native          : %s)\n"
+      (Latency.summary_to_string native.Runner.latency)
 
 (* Publish the recording a run captured ([--record FILE]); the workload
    name is patched in so `remon replay` can resolve the body again. *)
@@ -275,12 +344,12 @@ let dump_recording ~record ~workload_name (outcome : Mvee.outcome option) =
   | None, _ -> ()
 
 let run_workload name backend nreplicas level latency seed faults on_failure
-    trace_lines trace_file metrics repeat domains record =
+    opts repeat domains record =
   match Registry.find name with
   | None ->
     Printf.eprintf "unknown workload %S; try `remon list`\n" name;
     exit 2
-  | Some workload -> (
+  | Some workload ->
     if record <> None && repeat > 1 then begin
       Printf.eprintf "--record needs a single run (drop --repeat)\n";
       exit 2
@@ -288,103 +357,34 @@ let run_workload name backend nreplicas level latency seed faults on_failure
     let config = config_of backend nreplicas level seed faults on_failure in
     let config = { config with Mvee.record = record <> None } in
     let latency = Vtime.of_float_ns (latency *. 1e6) in
-    if repeat > 1 then begin
-      Printf.printf "workload : %s\n" (Registry.describe workload);
-      Printf.printf "backend  : %s, %d replica(s), policy %s\n\n"
-        (Mvee.backend_to_string backend)
-        nreplicas
-        (Policy.to_string config.Mvee.policy);
-      run_repeated workload config latency ~repeat ~domains ~trace_file ~metrics
-    end
-    else
-    let obs = if trace_file <> None || metrics then Some (Obs.create ()) else None in
-    let dump_trace kernel =
-      if trace_lines > 0 then begin
-        Printf.printf "\nsyscall trace (first %d lines):\n" trace_lines;
-        List.iteri
-          (fun i line -> if i < trace_lines then Printf.printf "  %s\n" line)
-          (Remon_kernel.Kernel.trace kernel)
-      end
-    in
     Printf.printf "workload : %s\n" (Registry.describe workload);
     Printf.printf "backend  : %s, %d replica(s), policy %s\n\n"
       (Mvee.backend_to_string backend)
       nreplicas
       (Policy.to_string config.Mvee.policy);
-    try match workload with
-    | Registry.Profile_workload profile ->
-      let native = Runner.run_profile profile { config with Mvee.backend = Mvee.Native } in
-      let under =
-        if trace_lines > 0 then begin
-          let kernel = Remon_kernel.Kernel.create ~seed:config.Mvee.seed () in
-          Remon_kernel.Kernel.enable_tracing kernel;
-          (match obs with
-          | Some o -> Remon_kernel.Kernel.set_obs kernel o
-          | None -> ());
-          let h = Mvee.launch kernel config ~name ~body:(Profile.body profile) in
-          Remon_kernel.Kernel.run kernel;
-          let outcome = Mvee.finish h in
-          dump_trace kernel;
-          { Runner.duration = outcome.Mvee.duration; outcome }
-        end
-        else Runner.run_profile ?obs profile config
-      in
-      let o = under.Runner.outcome in
-      Printf.printf "native runtime     : %s\n" (Vtime.to_string native.Runner.duration);
-      Printf.printf "mvee runtime       : %s (normalized %.2f)\n"
-        (Vtime.to_string under.Runner.duration)
-        (Vtime.to_float_ns under.Runner.duration
-        /. Vtime.to_float_ns native.Runner.duration);
-      Printf.printf "syscalls           : %d (monitored %d, fast-path %d)\n"
-        o.Mvee.syscalls o.Mvee.monitored o.Mvee.ipmon_fastpath;
-      Printf.printf "ptrace stops       : %d, rendezvous %d\n" o.Mvee.ptrace_stops
-        o.Mvee.rendezvous;
-      Printf.printf "rb records/resets  : %d/%d\n" o.Mvee.rb_records o.Mvee.rb_resets;
-      (match o.Mvee.verdict with
-      | Some v -> Printf.printf "verdict            : %s\n" (Divergence.to_string v)
-      | None -> ());
-      if faults <> [] || o.Mvee.faults_injected > 0 then begin
-        Printf.printf "faults injected    : %d (plan: %s)\n" o.Mvee.faults_injected
-          (Fault.to_string faults);
-        Printf.printf "quarantines        : %d, respawns %d, watchdog retries %d\n"
-          o.Mvee.quarantines o.Mvee.respawns o.Mvee.watchdog_retries;
-        Printf.printf "degraded time      : %s\n" (Vtime.to_string o.Mvee.degraded_ns)
-      end;
-      dump_recording ~record ~workload_name:name (Some o);
-      (match obs with Some o -> finalize_obs ~trace_file ~metrics o | None -> ())
-    | Registry.Server_workload (server, client) ->
-      let native =
-        Runner.run_server_bench ~latency ~server ~client
-          { config with Mvee.backend = Mvee.Native }
-      in
-      let under = Runner.run_server_bench ~latency ?obs ~server ~client config in
-      Printf.printf "native client time : %s\n"
-        (Vtime.to_string native.Runner.client_duration);
-      Printf.printf "mvee client time   : %s (overhead %s)\n"
-        (Vtime.to_string under.Runner.client_duration)
-        (Remon_util.Table.fmt_pct
-           (Vtime.to_float_ns under.Runner.client_duration
-            /. Vtime.to_float_ns native.Runner.client_duration
-           -. 1.));
-      Printf.printf "responses          : %d (transport errors %d, truncated %d)\n"
-        under.Runner.responses under.Runner.transport_errors
-        under.Runner.truncated_requests;
-      Printf.printf "request latency    : %s\n"
-        (Latency.summary_to_string under.Runner.latency);
-      Printf.printf "  (native          : %s)\n"
-        (Latency.summary_to_string native.Runner.latency);
-      dump_recording ~record ~workload_name:name
-        (Some under.Runner.server_outcome);
-      (match obs with Some o -> finalize_obs ~trace_file ~metrics o | None -> ())
-    with Runner.Mvee_terminated v ->
-      (* a fatal verdict (e.g. under --faults with the kill-group policy)
-         is a legitimate outcome, not a crash — dump what was collected
-         before exiting, it is exactly what a failure wants looked at.
-         The recording especially: it reproduces this very verdict. *)
-      Printf.printf "mvee terminated    : %s\n" (Divergence.to_string v);
-      dump_recording ~record ~workload_name:name !Runner.last_outcome;
-      (match obs with Some o -> finalize_obs ~trace_file ~metrics o | None -> ());
-      exit 1)
+    if repeat > 1 then run_repeated workload config latency ~repeat ~domains opts
+    else
+      let obs = obs_of opts in
+      match measure ?obs workload config latency with
+      | m ->
+        print_route_lines opts obs;
+        print_summary faults m;
+        dump_recording ~record ~workload_name:name
+          (Some
+             (match m with
+             | Profile_run (_, under) -> under.Runner.outcome
+             | Server_run (_, under) -> under.Runner.server_outcome));
+        finalize_obs opts obs
+      | exception Runner.Mvee_terminated v ->
+        (* a fatal verdict (e.g. under --faults with the kill-group policy)
+           is a legitimate outcome, not a crash — dump what was collected
+           before exiting, it is exactly what a failure wants looked at.
+           The recording especially: it reproduces this very verdict. *)
+        print_route_lines opts obs;
+        Printf.printf "mvee terminated    : %s\n" (Divergence.to_string v);
+        dump_recording ~record ~workload_name:name !Runner.last_outcome;
+        finalize_obs opts obs;
+        exit 1
 
 let run_cmd =
   let name_arg =
@@ -397,27 +397,9 @@ let run_cmd =
     Arg.(
       value & opt int 0
       & info [ "trace-lines" ] ~docv:"N"
-          ~doc:"Print the first N human-readable syscall-trace lines.")
-  in
-  let trace_file_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
           ~doc:
-            "Write a structured trace of the MVEE run to FILE in Chrome \
-             trace-event JSON (load it in Perfetto / chrome://tracing). \
-             Identical seeds produce byte-identical files, independent of \
-             --domains. With --repeat, the base seed's run is traced.")
-  in
-  let metrics_arg =
-    Arg.(
-      value & flag
-      & info [ "metrics" ]
-          ~doc:
-            "Print the metrics summary: per-syscall latency histograms, \
-             rendezvous and route counts, RB occupancy high-water marks, \
-             ptrace round-trips.")
+            "Print the first N syscall routing decisions (plain, monitored, \
+             ipmon, fault), rendered from the run's trace.")
   in
   let repeat_arg =
     Arg.(
@@ -448,12 +430,17 @@ let run_cmd =
              `remon replay FILE`. Written even when the run is killed by a \
              verdict — the recording reproduces that verdict.")
   in
+  let opts_term =
+    Term.(
+      const (fun opts trace_lines -> { opts with trace_lines })
+      $ obs_term $ trace_lines_arg)
+  in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload under an MVEE configuration.")
     Term.(
       const run_workload $ name_arg $ backend_arg $ replicas_arg $ level_arg
-      $ latency_arg $ seed_arg $ faults_arg $ on_failure_arg $ trace_lines_arg
-      $ trace_file_arg $ metrics_arg $ repeat_arg $ domains_arg $ record_arg)
+      $ latency_arg $ seed_arg $ faults_arg $ on_failure_arg $ opts_term
+      $ repeat_arg $ domains_arg $ record_arg)
 
 (* ------------------------------------------------------------------ *)
 (* remon replay FILE: offline replay + divergence bisection *)
@@ -469,7 +456,11 @@ let print_header (h : Recording.header) =
   if h.Recording.faults <> "" then
     Printf.printf "faults    : %s\n" h.Recording.faults
 
-let replay_recording file backend context show_events trace_file metrics =
+let print_verdict (r : Recording.t) =
+  Printf.printf "verdict   : %s\n"
+    (match r.Recording.verdict with Some (_, rendered) -> rendered | None -> "clean")
+
+let replay_recording file backend context show_events opts =
   match Recording.of_file file with
   | Error e ->
     Printf.eprintf "cannot load %s: %s\n" file (Remon_kernel.Syswire.error_to_string e);
@@ -480,9 +471,7 @@ let replay_recording file backend context show_events trace_file metrics =
     Printf.printf "events    : %d (stream digest %s)\n"
       (Array.length recorded.Recording.events)
       (Recording.stream_digest recorded);
-    (match recorded.Recording.verdict with
-    | Some (_, rendered) -> Printf.printf "verdict   : %s\n" rendered
-    | None -> Printf.printf "verdict   : clean\n");
+    print_verdict recorded;
     if show_events > 0 then begin
       Printf.printf "\nfirst %d records:\n" show_events;
       Array.iteri
@@ -505,9 +494,7 @@ let replay_recording file backend context show_events trace_file metrics =
          re-executes profile workloads only.\n";
       exit 2
     | Some (Registry.Profile_workload profile) -> (
-      let obs =
-        if trace_file <> None || metrics then Some (Obs.create ()) else None
-      in
+      let obs = obs_of opts in
       Printf.printf "\nreplaying under %s...\n"
         (match backend with
         | Some b -> Mvee.backend_to_string b
@@ -524,9 +511,7 @@ let replay_recording file backend context show_events trace_file metrics =
         Printf.printf "replayed  : %d events (stream digest %s)\n"
           (Array.length report.Replayer.replayed.Recording.events)
           (Recording.stream_digest report.Replayer.replayed);
-        (match report.Replayer.replayed.Recording.verdict with
-        | Some (_, rendered) -> Printf.printf "verdict   : %s\n" rendered
-        | None -> Printf.printf "verdict   : clean\n");
+        print_verdict report.Replayer.replayed;
         Printf.printf "identical : %s\n"
           (if report.Replayer.identical then "yes (byte-identical recording)"
            else "no");
@@ -537,9 +522,7 @@ let replay_recording file backend context show_events trace_file metrics =
         | Some d ->
           Printf.printf "\n%s\n" (Divergence.replay_divergence_to_string d)
         | None -> ());
-        (match obs with
-        | Some o -> finalize_obs ~trace_file ~metrics o
-        | None -> ());
+        finalize_obs opts obs;
         (* exit 0 = replay agrees with the recording: byte-identical on
            the same backend, verdict-class agreement across backends *)
         let ok =
@@ -579,18 +562,6 @@ let replay_cmd =
       & info [ "show-events" ] ~docv:"N"
           ~doc:"Print the first N decoded records before replaying.")
   in
-  let trace_file_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Write the replay run's structured trace to FILE.")
-  in
-  let metrics_arg =
-    Arg.(
-      value & flag
-      & info [ "metrics" ] ~doc:"Print the replay run's metrics summary.")
-  in
   Cmd.v
     (Cmd.info "replay"
        ~doc:
@@ -599,7 +570,7 @@ let replay_cmd =
           on a fork locate the first divergent record.")
     Term.(
       const replay_recording $ file_arg $ backend_override_arg $ context_arg
-      $ show_events_arg $ trace_file_arg $ metrics_arg)
+      $ show_events_arg $ obs_term)
 
 let attack_cmd =
   let run backend nreplicas level seed =
@@ -648,6 +619,10 @@ let fleet_cmd =
             "Disable the recovery ladder (intra-instance respawn and fleet \
              respawn): the availability-floor baseline.")
   in
+  let policy_name = function
+    | Lb.Round_robin -> "round-robin"
+    | Lb.Least_conns -> "least-conns"
+  in
   let policy_arg =
     let policy_conv =
       let parse = function
@@ -655,10 +630,7 @@ let fleet_cmd =
         | "least-conns" | "lc" -> Ok Lb.Least_conns
         | s -> Error (`Msg (Printf.sprintf "unknown LB policy %S" s))
       in
-      let print fmt = function
-        | Lb.Round_robin -> Format.pp_print_string fmt "round-robin"
-        | Lb.Least_conns -> Format.pp_print_string fmt "least-conns"
-      in
+      let print fmt p = Format.pp_print_string fmt (policy_name p) in
       Arg.conv (parse, print)
     in
     Arg.(
@@ -684,16 +656,6 @@ let fleet_cmd =
             "Print the metrics summary (fleet probe/eject/respawn counters \
              included).")
   in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Write a structured trace of the chaos scenario to FILE in \
-             Chrome trace-event JSON (instance_down/instance_respawn and \
-             recovery instants included).")
-  in
   let run backend nreplicas instances rate requests workers no_recovery policy
       rolling seed metrics trace_file =
     let cfg =
@@ -712,15 +674,12 @@ let fleet_cmd =
         trace = metrics;
       }
     in
-    let obs =
-      if trace_file <> None then Some (Remon_obs.Obs.create ()) else None
-    in
+    (* the fleet's --metrics is its own summary, not the sink's *)
+    let opts = { trace_file; metrics = false; trace_lines = 0 } in
+    let obs = obs_of opts in
     Printf.printf "fleet    : %d x %s (%d replicas), LB %s\n" instances
       (Mvee.backend_to_string backend)
-      nreplicas
-      (match policy with
-      | Lb.Round_robin -> "round-robin"
-      | Lb.Least_conns -> "least-conns");
+      nreplicas (policy_name policy);
     Printf.printf "traffic  : %d requests over %d open-loop workers\n" requests
       workers;
     Printf.printf "chaos    : rate %.4f, recovery %s%s\n\n" rate
@@ -749,9 +708,7 @@ let fleet_cmd =
       Printf.printf "verdicts           : %s\n"
         (String.concat ", " r.Fchaos.verdict_classes);
     if metrics then print_metrics r.Fchaos.metrics;
-    match obs with
-    | Some o -> finalize_obs ~trace_file ~metrics:false o
-    | None -> ()
+    finalize_obs opts obs
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -761,7 +718,7 @@ let fleet_cmd =
     Term.(
       const run $ backend_arg $ replicas_arg $ instances_arg $ rate_arg
       $ requests_arg $ workers_arg $ no_recovery_arg $ policy_arg
-      $ rolling_arg $ seed_arg $ metrics_arg $ trace_arg)
+      $ rolling_arg $ seed_arg $ metrics_arg $ trace_file_arg)
 
 let pdes_cmd =
   let shards_arg =
@@ -796,8 +753,11 @@ let pdes_cmd =
              conservative synchronizer's lookahead.")
   in
   let pdes_faults_arg =
+    (* validated like run's, but kept as typed: the scenario line echoes it *)
+    let parse s = Result.map (fun _ -> s) (Arg.conv_parser faults_conv s) in
     Arg.(
-      value & opt string ""
+      value
+      & opt (conv (parse, Format.pp_print_string)) ""
       & info [ "faults" ] ~docv:"PLAN"
           ~doc:"Fault plan for the host-0 group (same syntax as run).")
   in

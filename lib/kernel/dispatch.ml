@@ -1722,11 +1722,10 @@ let execute_raw k th call ~(ret : Syscall.result -> unit) =
   charge th k.K.cost.ipmon_restart_ns;
   exec k th call ~ret
 
-(* Trace hook: records one line per syscall with its route when tracing is
-   enabled (Kstate.log_enabled), and a routing instant + per-route tally
-   in the structured sink when one is attached. Metric keys for the fixed
-   route vocabulary are interned at module init so the per-call tally
-   does not concatenate strings. *)
+(* Trace hook: a routing instant + per-route tally in the structured sink
+   when one is attached ({!Kernel.route_lines} renders the instants as
+   text). Metric keys for the fixed route vocabulary are interned at
+   module init so the per-call tally does not concatenate strings. *)
 let route_key = function
   | "plain" -> "route.plain"
   | "monitored" -> "route.monitored"
@@ -1738,7 +1737,7 @@ let route_key = function
   | r -> "route." ^ r
 
 let trace_route k (th : Proc.thread) call route =
-  (match k.K.obs with
+  match k.K.obs with
   | None -> ()
   | Some o ->
     Remon_obs.Metrics.incr o.Ob.metrics (route_key route);
@@ -1748,10 +1747,7 @@ let trace_route k (th : Proc.thread) call route =
         ("call", Tr.Str (Syscall.to_string call));
         ("variant", Tr.Int (variant_of th));
         ("index", Tr.Int th.Proc.syscall_index);
-      ]);
-  if k.K.log_enabled then
-    K.logf k "pid=%d tid=%d #%d %s -> %s" th.Proc.proc.Proc.pid th.Proc.tid
-      th.Proc.syscall_index (Syscall.to_string call) route
+      ]
 
 (* Tracing-off, fault-free routing: completion goes through the thread's
    preallocated finish functions, so no per-call closure is built. The
@@ -1804,7 +1800,7 @@ let handle k (th : Proc.thread) call ~return =
     K.count_sysno k.K.stats (Syscall.number call);
     charge th k.K.cost.syscall_trap_ns;
     let fast =
-      (match k.K.obs with None -> not k.K.log_enabled | Some _ -> false)
+      (match k.K.obs with None -> true | Some _ -> false)
       && (match K.fault_hook_for k th with None -> true | Some _ -> false)
     in
     if fast then begin

@@ -199,15 +199,25 @@ let monitor_path (k : t) th call ~return = Dispatch.monitor_path k th call ~retu
 
 
 (* ------------------------------------------------------------------ *)
-(* Tracing of syscall routing (diagnostics) *)
-
-let enable_tracing (k : t) = k.K.log_enabled <- true
+(* Observability *)
 
 let set_obs (k : t) o = k.K.obs <- Some o
 let clear_obs (k : t) = k.K.obs <- None
 let obs (k : t) = k.K.obs
 
-let trace (k : t) =
-  List.rev_map
-    (fun (time, line) -> Printf.sprintf "[%s] %s" (Remon_sim.Vtime.to_string time) line)
-    k.K.log
+let route_lines (o : Remon_obs.Obs.t) =
+  let module Tr = Remon_obs.Trace in
+  List.filter_map
+    (fun (e : Tr.event) ->
+      match
+        ( e.Tr.ph,
+          e.Tr.cat,
+          List.assoc_opt "call" e.Tr.args,
+          List.assoc_opt "index" e.Tr.args )
+      with
+      | Tr.Instant, "route", Some (Tr.Str call), Some (Tr.Int index) ->
+        Some
+          (Printf.sprintf "[%s] pid=%d tid=%d #%d %s -> %s"
+             (Vtime.to_string e.Tr.ts) e.Tr.pid e.Tr.tid index call e.Tr.name)
+      | _ -> None)
+    (Vec.to_list o.Remon_obs.Obs.trace.Tr.events)

@@ -154,13 +154,7 @@ val run : ?until:Vtime.t -> t -> unit
 
 val blocked_report : t -> string list
 
-(** {1 Diagnostics} *)
-
-val enable_tracing : t -> unit
-(** Record one line per syscall with the route IK-B chose. *)
-
-val trace : t -> string list
-(** The recorded trace, in chronological order. *)
+(** {1 Observability} *)
 
 val set_obs : t -> Remon_obs.Obs.t -> unit
 (** Attach a structured trace/metrics sink. Emission points throughout
@@ -172,3 +166,9 @@ val clear_obs : t -> unit
 val obs : t -> Remon_obs.Obs.t option
 (** The attached sink, if any ([None] = observability off, the zero-cost
     path). *)
+
+val route_lines : Remon_obs.Obs.t -> string list
+(** One line per syscall with the route IK-B chose, rendered from the
+    sink's [route] instants in trace order:
+    [[<ts>] pid=P tid=T #<index> <call> -> <route>], where [ts] is the
+    calling thread's virtual clock. *)

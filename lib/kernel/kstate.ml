@@ -136,8 +136,6 @@ type t = {
       (* pid -> registration prepared by the MVEE before the replica issues
          ipmon_register (the closure cannot travel through the syscall) *)
   epoch_offset_ns : int64; (* "wall clock" base for gettimeofday *)
-  mutable log : (Vtime.t * string) list; (* recent diagnostic events, reversed *)
-  mutable log_enabled : bool;
   mutable obs : Remon_obs.Obs.t option;
       (* structured trace/metrics sink; None = observability fully off *)
   mutable gateway : gateway option;
@@ -166,8 +164,6 @@ let create ?(cost = Cost_model.default) ?(seed = 42)
     flocks = Hashtbl.create 8;
     pending_ipmon = Hashtbl.create 8;
     epoch_offset_ns = 1_600_000_000_000_000_000L;
-    log = [];
-    log_enabled = false;
     obs = None;
     gateway = None;
   }
@@ -199,11 +195,6 @@ let fault_hook_for k (th : Proc.thread) =
     | Some _ as f -> f
     | None -> k.fault_hook)
   | None -> k.fault_hook
-
-let logf k fmt =
-  Printf.ksprintf
-    (fun s -> if k.log_enabled then k.log <- (now k, s) :: k.log)
-    fmt
 
 let charge (th : Proc.thread) ns =
   th.clock <- Vtime.add th.clock (Vtime.ns (max 0 ns))

@@ -265,10 +265,11 @@ let test_new_classification () =
   Alcotest.(check bool) "syscall surface grew past 150" true
     (List.length Sysno.all >= 150)
 
-(* The trace facility records one line per syscall with its route. *)
+(* The route trace renders one line per syscall with its route. *)
 let test_trace_facility () =
   let kernel = Kernel.create () in
-  Kernel.enable_tracing kernel;
+  let obs = Remon_obs.Obs.create () in
+  Kernel.set_obs kernel obs;
   let body (_ : Mvee.env) =
     ignore (sys Syscall.Gettimeofday);
     ignore (sys Syscall.Getpid)
@@ -280,7 +281,7 @@ let test_trace_facility () =
   in
   Kernel.run kernel;
   ignore (Mvee.finish h);
-  let trace = Kernel.trace kernel in
+  let trace = Kernel.route_lines obs in
   let contains needle hay =
     let n = String.length needle and hl = String.length hay in
     let rec scan i = i + n <= hl && (String.sub hay i n = needle || scan (i + 1)) in

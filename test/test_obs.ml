@@ -158,39 +158,44 @@ let test_trace_backends_differ () =
   Alcotest.(check bool) "backends yield distinct traces" false
     (String.equal s_remon s_ghumvee)
 
-(* faults-style: a crash + delay plan; run twice (check_verdict off since
-   the crash produces a verdict by design) *)
+(* faults-style: a crash + delay plan (check_verdict off since the crash
+   produces a verdict by design) *)
+let faulted_run () =
+  (* parse the plan afresh per run: specs carry a mutable [fired] flag *)
+  let faults =
+    match Fault.of_string "delay@5:0=200us,crash@25:1" with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  let cfg =
+    { (Runner.cfg_remon ~nreplicas:2 ~seed:77 Classification.Nonsocket_rw_level) with
+      Mvee.faults }
+  in
+  let obs = Obs.create () in
+  let r =
+    Runner.run_body ~check_verdict:false ~obs cfg ~name:"obs.faulted"
+      ~body:(fun _env ->
+        for i = 0 to 59 do
+          Api.compute_us 3;
+          if i mod 2 = 0 then Api.gettimeofday () |> ignore
+          else
+            Api.pwrite
+              (Api.open_file
+                 ~flags:
+                   { Remon_kernel.Syscall.o_rdwr with
+                     Remon_kernel.Syscall.create = true }
+                 "/t")
+              "x" i
+            |> ignore
+        done)
+  in
+  (obs, r.Runner.outcome)
+
+(* run twice *)
 let test_trace_faulted_repeat_identical () =
   let run () =
-    (* parse the plan afresh per run: specs carry a mutable [fired] flag *)
-    let faults =
-      match Fault.of_string "delay@5:0=200us,crash@25:1" with
-      | Ok p -> p
-      | Error e -> Alcotest.fail e
-    in
-    let cfg =
-      { (Runner.cfg_remon ~nreplicas:2 ~seed:77 Classification.Nonsocket_rw_level) with
-        Mvee.faults }
-    in
-    let obs = Obs.create () in
-    let r =
-      Runner.run_body ~check_verdict:false ~obs cfg ~name:"obs.faulted"
-        ~body:(fun _env ->
-          for i = 0 to 59 do
-            Api.compute_us 3;
-            if i mod 2 = 0 then Api.gettimeofday () |> ignore
-            else
-              Api.pwrite
-                (Api.open_file
-                   ~flags:
-                     { Remon_kernel.Syscall.o_rdwr with
-                       Remon_kernel.Syscall.create = true }
-                   "/t")
-                "x" i
-              |> ignore
-          done)
-    in
-    (Obs.export_string obs, r.Runner.outcome)
+    let obs, outcome = faulted_run () in
+    (Obs.export_string obs, outcome)
   in
   let s1, o1 = run () in
   let s2, o2 = run () in
@@ -198,6 +203,28 @@ let test_trace_faulted_repeat_identical () =
   Alcotest.(check bool) "crash detected" true (o1.Mvee.verdict <> None);
   Alcotest.(check bool) "verdicts agree" true (o1.Mvee.verdict = o2.Mvee.verdict);
   Alcotest.(check string) "faulted trace byte-identical" s1 s2
+
+(* --trace-lines is a view of the trace: each rendered line is one
+   exported route instant, in export order, with the same fields *)
+let test_route_lines_match_export () =
+  let obs, _ = faulted_run () in
+  let from_export =
+    String.split_on_char '\n' (Obs.export_string obs)
+    |> List.filter_map (fun line ->
+           Scanf.sscanf_opt line
+             "{\"name\":\"%[^\"]\",\"cat\":\"route\",\"ph\":\"i\",\"ts\":%d.%d,\"pid\":%d,\"tid\":%d,\"s\":\"t\",\"args\":{\"call\":\"%[^\"]\",\"variant\":%d,\"index\":%d}}"
+             (fun route us ns pid tid call _variant index ->
+               Printf.sprintf "[%s] pid=%d tid=%d #%d %s -> %s"
+                 (Remon_sim.Vtime.to_string ((us * 1000) + ns))
+                 pid tid index call route))
+  in
+  let rendered = Remon_kernel.Kernel.route_lines obs in
+  Alcotest.(check bool) "fault routes rendered" true
+    (List.exists
+       (fun l -> String.ends_with ~suffix:"-> fault:delay" l)
+       rendered);
+  Alcotest.(check (list string)) "one line per route instant" from_export
+    rendered
 
 (* parallel fan-out: each job runs the same traced profile under its own
    kernel and obs; exports must not depend on the domain count *)
@@ -257,5 +284,6 @@ let () =
           tc "faulted run byte-identical" test_trace_faulted_repeat_identical;
           tc "domains 1 vs 4 identical" test_trace_domains_identical;
           tc "tracing does not perturb" test_tracing_does_not_perturb;
+          tc "route lines = route instants" test_route_lines_match_export;
         ] );
     ]
