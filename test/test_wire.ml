@@ -8,6 +8,296 @@ open Remon_kernel
 open Remon_core
 
 (* ------------------------------------------------------------------ *)
+(* Golden samples: every call constructor and every sub-variant, keyed
+   by the syscall number, so the compiler demands samples for a new
+   constructor. Integer fields include the zigzag edge values. *)
+
+let addr = 0x7f00_dead_b000L
+let all_ev =
+  { Syscall.pollin = true; pollout = true; pollhup = true; pollerr = true }
+let itimer = { Syscall.interval_ns = 1_000_000; value_ns = -1 }
+let all_flags =
+  {
+    Syscall.o_rdwr with
+    Syscall.create = true;
+    trunc = true;
+    append = true;
+    nonblock = true;
+  }
+
+let samples (s : Sysno.t) : Syscall.call list =
+  let open Syscall in
+  match s with
+  | Sysno.Gettimeofday -> [ Gettimeofday ]
+  | Sysno.Clock_gettime -> [ Clock_gettime `Realtime; Clock_gettime `Monotonic ]
+  | Sysno.Time -> [ Time ]
+  | Sysno.Getpid -> [ Getpid ]
+  | Sysno.Gettid -> [ Gettid ]
+  | Sysno.Getpgrp -> [ Getpgrp ]
+  | Sysno.Getppid -> [ Getppid ]
+  | Sysno.Getgid -> [ Getgid ]
+  | Sysno.Getegid -> [ Getegid ]
+  | Sysno.Getuid -> [ Getuid ]
+  | Sysno.Geteuid -> [ Geteuid ]
+  | Sysno.Getcwd -> [ Getcwd ]
+  | Sysno.Getpriority -> [ Getpriority ]
+  | Sysno.Getrusage -> [ Getrusage ]
+  | Sysno.Times -> [ Times ]
+  | Sysno.Capget -> [ Capget ]
+  | Sysno.Getitimer -> [ Getitimer ]
+  | Sysno.Sysinfo -> [ Sysinfo ]
+  | Sysno.Uname -> [ Uname ]
+  | Sysno.Sched_yield -> [ Sched_yield ]
+  | Sysno.Nanosleep -> [ Nanosleep 0; Nanosleep max_int; Nanosleep min_int ]
+  | Sysno.Getpgid -> [ Getpgid ]
+  | Sysno.Getsid -> [ Getsid ]
+  | Sysno.Getrlimit -> [ Getrlimit 7 ]
+  | Sysno.Sched_getaffinity -> [ Sched_getaffinity ]
+  | Sysno.Clock_getres -> [ Clock_getres ]
+  | Sysno.Getrandom -> [ Getrandom 32 ]
+  | Sysno.Futex ->
+    [
+      Futex (Futex_wait { addr; expected = 0; timeout_ns = None });
+      Futex
+        (Futex_wait
+           { addr = Int64.min_int; expected = -1; timeout_ns = Some 5000 });
+      Futex (Futex_wake { addr = Int64.max_int; count = max_int });
+    ]
+  | Sysno.Ioctl ->
+    [
+      Ioctl (0, Fionread); Ioctl (1, Fionbio true); Ioctl (1, Fionbio false);
+      Ioctl (2, Tiocgwinsz);
+    ]
+  | Sysno.Fcntl ->
+    [
+      Fcntl (3, F_getfl); Fcntl (3, F_setfl { nonblock = true });
+      Fcntl (3, F_setfl { nonblock = false }); Fcntl (3, F_dupfd 10);
+    ]
+  | Sysno.Access -> [ Access "/etc/passwd" ]
+  | Sysno.Faccessat -> [ Faccessat "" ]
+  | Sysno.Lseek ->
+    [
+      Lseek (3, 0, Seek_set); Lseek (3, -4096, Seek_cur);
+      Lseek (3, min_int, Seek_end);
+    ]
+  | Sysno.Stat -> [ Stat "/data/in.txt" ]
+  | Sysno.Lstat -> [ Lstat "/data/link" ]
+  | Sysno.Fstat -> [ Fstat 3 ]
+  | Sysno.Fstatat -> [ Fstatat "/tmp" ]
+  | Sysno.Getdents -> [ Getdents 4 ]
+  | Sysno.Readlink -> [ Readlink "/proc/self/exe" ]
+  | Sysno.Readlinkat -> [ Readlinkat "exe" ]
+  | Sysno.Getxattr -> [ Getxattr ("/a", "user.x") ]
+  | Sysno.Lgetxattr -> [ Lgetxattr ("/b", "") ]
+  | Sysno.Fgetxattr -> [ Fgetxattr (5, "user.y") ]
+  | Sysno.Alarm -> [ Alarm 0 ]
+  | Sysno.Setitimer -> [ Setitimer itimer ]
+  | Sysno.Timerfd_gettime -> [ Timerfd_gettime 6 ]
+  | Sysno.Madvise -> [ Madvise { addr; len = 4096 } ]
+  | Sysno.Fadvise64 -> [ Fadvise64 7 ]
+  | Sysno.Statfs -> [ Statfs "/" ]
+  | Sysno.Fstatfs -> [ Fstatfs 8 ]
+  | Sysno.Getdents64 -> [ Getdents64 9 ]
+  | Sysno.Readahead -> [ Readahead 10 ]
+  | Sysno.Mincore -> [ Mincore { addr = 0L; len = 0 } ]
+  | Sysno.Read -> [ Read (3, 4096) ]
+  | Sysno.Readv -> [ Readv (3, [ 1; 2; 3 ]); Readv (3, []) ]
+  | Sysno.Pread64 -> [ Pread64 (3, 100, 1 lsl 40) ]
+  | Sysno.Preadv -> [ Preadv (3, [ 64; 64 ], 4096) ]
+  | Sysno.Select ->
+    [
+      Select { readfds = [ 0; 1 ]; writefds = []; timeout_ns = None };
+      Select { readfds = []; writefds = [ 2 ]; timeout_ns = Some 0 };
+    ]
+  | Sysno.Poll ->
+    [
+      Poll { fds = [ (3, ev_in); (4, all_ev) ]; timeout_ns = Some 100 };
+      Poll { fds = []; timeout_ns = None };
+    ]
+  | Sysno.Pselect6 ->
+    [ Pselect6 { readfds = [ 7 ]; writefds = [ 8; 9 ]; timeout_ns = Some 1 } ]
+  | Sysno.Ppoll -> [ Ppoll { fds = [ (5, ev_out) ]; timeout_ns = None } ]
+  | Sysno.Sync -> [ Sync ]
+  | Sysno.Syncfs -> [ Syncfs 3 ]
+  | Sysno.Fsync -> [ Fsync 3 ]
+  | Sysno.Fdatasync -> [ Fdatasync 3 ]
+  | Sysno.Timerfd_settime -> [ Timerfd_settime (6, itimer) ]
+  | Sysno.Msync -> [ Msync { addr; len = 8192 } ]
+  | Sysno.Flock ->
+    [ Flock (3, Lock_sh); Flock (3, Lock_ex); Flock (3, Lock_un) ]
+  | Sysno.Chmod -> [ Chmod ("/f", 0o644) ]
+  | Sysno.Fchmod -> [ Fchmod (3, 0o600) ]
+  | Sysno.Chown -> [ Chown ("/f", 1000, -1) ]
+  | Sysno.Utimensat -> [ Utimensat "/f" ]
+  | Sysno.Write -> [ Write (1, "hello"); Write (1, "") ]
+  | Sysno.Writev -> [ Writev (1, [ "a"; "bc" ]) ]
+  | Sysno.Pwrite64 -> [ Pwrite64 (3, "xyz", 4096) ]
+  | Sysno.Pwritev -> [ Pwritev (3, [ "p"; "q" ], 0) ]
+  | Sysno.Epoll_wait ->
+    [ Epoll_wait { epfd = 4; max_events = 64; timeout_ns = Some (-1) } ]
+  | Sysno.Recvfrom -> [ Recvfrom (5, 1500) ]
+  | Sysno.Recvmsg -> [ Recvmsg (5, 9000) ]
+  | Sysno.Recvmmsg -> [ Recvmmsg (5, 8, 1500) ]
+  | Sysno.Getsockname -> [ Getsockname 5 ]
+  | Sysno.Getpeername -> [ Getpeername 5 ]
+  | Sysno.Getsockopt -> [ Getsockopt (5, 4) ]
+  | Sysno.Sendto -> [ Sendto (5, "ping") ]
+  | Sysno.Sendmsg -> [ Sendmsg (5, "\x00\xff") ]
+  | Sysno.Sendmmsg -> [ Sendmmsg (5, [ "a"; "b" ]); Sendmmsg (5, []) ]
+  | Sysno.Sendfile -> [ Sendfile { out_fd = 5; in_fd = 3; count = 65536 } ]
+  | Sysno.Epoll_ctl ->
+    [
+      Epoll_ctl
+        { epfd = 4; op = Epoll_add; fd = 5; events = ev_in; user_data = addr };
+      Epoll_ctl
+        { epfd = 4; op = Epoll_mod; fd = 5; events = all_ev; user_data = -1L };
+      Epoll_ctl
+        { epfd = 4; op = Epoll_del; fd = 5; events = ev_none; user_data = 0L };
+    ]
+  | Sysno.Setsockopt -> [ Setsockopt (5, 2, 1) ]
+  | Sysno.Shutdown ->
+    [ Shutdown (5, Shut_rd); Shutdown (5, Shut_wr); Shutdown (5, Shut_rdwr) ]
+  | Sysno.Open -> [ Open ("/f", o_rdonly); Open ("/g", all_flags) ]
+  | Sysno.Openat -> [ Openat ("/h", o_wronly) ]
+  | Sysno.Creat -> [ Creat "/new" ]
+  | Sysno.Close -> [ Close 3 ]
+  | Sysno.Dup -> [ Dup 3 ]
+  | Sysno.Dup2 -> [ Dup2 (3, 10) ]
+  | Sysno.Dup3 -> [ Dup3 (3, 11) ]
+  | Sysno.Pipe2 -> [ Pipe2 { nonblock = true }; Pipe2 { nonblock = false } ]
+  | Sysno.Eventfd -> [ Eventfd 0 ]
+  | Sysno.Pipe -> [ Pipe ]
+  | Sysno.Socket ->
+    [ Socket (Af_inet, Sock_stream); Socket (Af_unix, Sock_dgram) ]
+  | Sysno.Socketpair ->
+    [ Socketpair (Af_unix, Sock_stream); Socketpair (Af_inet, Sock_dgram) ]
+  | Sysno.Bind -> [ Bind (5, 8080) ]
+  | Sysno.Listen -> [ Listen (5, 128) ]
+  | Sysno.Accept -> [ Accept 5 ]
+  | Sysno.Accept4 ->
+    [
+      Accept4 { fd = 5; nonblock = true }; Accept4 { fd = 5; nonblock = false };
+    ]
+  | Sysno.Connect -> [ Connect (6, 8080) ]
+  | Sysno.Epoll_create -> [ Epoll_create ]
+  | Sysno.Timerfd_create -> [ Timerfd_create ]
+  | Sysno.Unlink -> [ Unlink "/old" ]
+  | Sysno.Rename -> [ Rename ("/a", "/b") ]
+  | Sysno.Mkdir -> [ Mkdir "/d" ]
+  | Sysno.Rmdir -> [ Rmdir "/d" ]
+  | Sysno.Truncate -> [ Truncate ("/f", 0) ]
+  | Sysno.Ftruncate -> [ Ftruncate (3, 1 lsl 62) ]
+  | Sysno.Mkdirat -> [ Mkdirat "sub" ]
+  | Sysno.Unlinkat -> [ Unlinkat "sub/x" ]
+  | Sysno.Renameat -> [ Renameat ("x", "y") ]
+  | Sysno.Link -> [ Link ("/a", "/c") ]
+  | Sysno.Linkat -> [ Linkat ("a", "c") ]
+  | Sysno.Symlink -> [ Symlink ("/a", "/s") ]
+  | Sysno.Symlinkat -> [ Symlinkat ("a", "s") ]
+  | Sysno.Umask -> [ Umask 0o22 ]
+  | Sysno.Mmap ->
+    let rw = { pr = true; pw = true; px = false } in
+    [
+      Mmap { len = 4096; prot = rw; kind = Map_anon };
+      Mmap
+        {
+          len = 8192;
+          prot = { pr = true; pw = false; px = true };
+          kind = Map_shared_anon;
+        };
+      Mmap
+        {
+          len = 0;
+          prot = { pr = false; pw = false; px = false };
+          kind = Map_file 3;
+        };
+    ]
+  | Sysno.Munmap -> [ Munmap { addr; len = 4096 } ]
+  | Sysno.Mprotect ->
+    [
+      Mprotect { addr; len = 4096; prot = { pr = true; pw = true; px = true } };
+    ]
+  | Sysno.Mremap -> [ Mremap { addr; old_len = 4096; new_len = 8192 } ]
+  | Sysno.Brk -> [ Brk 0 ]
+  | Sysno.Mlock -> [ Mlock { addr; len = 1 } ]
+  | Sysno.Munlock -> [ Munlock { addr; len = 1 } ]
+  | Sysno.Clone -> [ Clone 1 ]
+  | Sysno.Fork -> [ Fork ]
+  | Sysno.Execve -> [ Execve "/bin/true" ]
+  | Sysno.Exit -> [ Exit 0 ]
+  | Sysno.Exit_group -> [ Exit_group 1 ]
+  | Sysno.Wait4 -> [ Wait4 (-1) ]
+  | Sysno.Kill -> [ Kill (1000, 9) ]
+  | Sysno.Tgkill -> [ Tgkill (1000, 5000, 11) ]
+  | Sysno.Setrlimit -> [ Setrlimit (7, 1024) ]
+  | Sysno.Prlimit64 -> [ Prlimit64 (7, -(1 lsl 62)) ]
+  | Sysno.Sched_setaffinity -> [ Sched_setaffinity 3 ]
+  | Sysno.Setsid -> [ Setsid ]
+  | Sysno.Rt_sigaction ->
+    [
+      Rt_sigaction (10, Sig_default); Rt_sigaction (10, Sig_ignore);
+      Rt_sigaction (10, Sig_handler 3);
+    ]
+  | Sysno.Rt_sigprocmask ->
+    [
+      Rt_sigprocmask (Sig_block, [ 10; 12 ]); Rt_sigprocmask (Sig_unblock, []);
+      Rt_sigprocmask (Sig_setmask, [ 1 ]);
+    ]
+  | Sysno.Rt_sigreturn -> [ Rt_sigreturn ]
+  | Sysno.Sigaltstack -> [ Sigaltstack ]
+  | Sysno.Pause -> [ Pause ]
+  | Sysno.Shmget ->
+    [
+      Shmget { key = 0x5eed; size = 1 lsl 20; create = true };
+      Shmget { key = 0; size = 0; create = false };
+    ]
+  | Sysno.Shmat ->
+    [
+      Shmat { shmid = 1; readonly = true };
+      Shmat { shmid = 2; readonly = false };
+    ]
+  | Sysno.Shmdt -> [ Shmdt { addr } ]
+  | Sysno.Shmctl ->
+    [ Shmctl { shmid = 1; rmid = true }; Shmctl { shmid = 1; rmid = false } ]
+  | Sysno.Ipmon_register ->
+    [
+      Ipmon_register { calls = Sysno.all; rb_addr = addr; entry_addr = 0L };
+      Ipmon_register { calls = []; rb_addr = 0L; entry_addr = Int64.min_int };
+    ]
+
+let sample_calls = List.concat_map samples Sysno.all
+
+(* Every errno in wire-tag order. *)
+let errnos =
+  Errno.
+    [
+      EPERM; ENOENT; ESRCH; EINTR; EIO; EBADF; EAGAIN; ENOMEM; EACCES; EFAULT;
+      EBUSY; EEXIST; ENOTDIR; EISDIR; EINVAL; ENFILE; EMFILE; ENOSPC; ESPIPE;
+      EPIPE; ERANGE; ENOSYS; ENOTEMPTY; ELOOP; ENOTSOCK; EDESTADDRREQ;
+      EMSGSIZE; EPROTONOSUPPORT; EOPNOTSUPP; EADDRINUSE; EADDRNOTAVAIL;
+      ENETUNREACH; ECONNABORTED; ECONNRESET; ENOBUFS; EISCONN; ENOTCONN;
+      ETIMEDOUT; ECONNREFUSED; EALREADY; EINPROGRESS; ECHILD; EDEADLK;
+      ENAMETOOLONG; EIDRM; ETIME; EREMOTEIO; EKEYREJECTED;
+    ]
+
+let sample_results : Syscall.result list =
+  let open Syscall in
+  let stat st_kind =
+    Ok_stat { st_ino = 42; st_size = 1 lsl 33; st_kind; st_mtime_ns = -7 }
+  in
+  [
+    Ok_unit; Ok_int 0; Ok_int (-1); Ok_int max_int; Ok_int min_int;
+    Ok_int64 Int64.min_int; Ok_int64 Int64.max_int; Ok_data "";
+    Ok_data "\x00\xff"; Ok_str "linux"; Ok_pair (3, 4);
+    Ok_poll [ (3, ev_in); (4, all_ev) ]; Ok_poll [];
+    Ok_epoll [ (addr, ev_out); (-1L, ev_none) ];
+    Ok_accept { conn_fd = 7; peer_port = 40000 }; Ok_dents [ "."; ".." ];
+    Ok_dents []; Ok_itimer itimer;
+  ]
+  @ List.map stat [ `Reg; `Dir; `Fifo; `Sock; `Special ]
+  @ List.map (fun e -> Error e) errnos
+
+(* ------------------------------------------------------------------ *)
 (* Generators *)
 
 let gen_small = QCheck2.Gen.int_range 0 4096
@@ -192,6 +482,7 @@ let gen_call : Syscall.call QCheck2.Gen.t =
               (int_range 0 7))
            gen_i64 gen_i64);
       map (fun i -> Syscall.Setitimer i) gen_itimer;
+      oneofl sample_calls;
     ]
 
 let gen_errno =
@@ -234,6 +525,7 @@ let gen_result : Syscall.result QCheck2.Gen.t =
       map (fun l -> Syscall.Ok_dents l) (list_size (int_range 0 5) gen_str);
       map (fun i -> Syscall.Ok_itimer i) gen_itimer;
       map (fun e -> Syscall.Error e) gen_errno;
+      oneofl sample_results;
     ]
 
 let gen_event : Recording.event QCheck2.Gen.t =
@@ -458,6 +750,80 @@ let test_varint_edges () =
   | _ -> Alcotest.fail "unterminated varint decoded"
   | exception Syswire.Fail _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Golden samples: exhaustive round trip and pinned bytes *)
+
+let encode write v =
+  let w = Syswire.W.create () in
+  write w v;
+  Syswire.W.contents w
+
+(* [v] decodes back from its encoding with nothing left over, and every
+   strict prefix of the encoding fails with [Syswire.Fail]. *)
+let check_golden ~name ~equal write read v =
+  let s = encode write v in
+  let r = Syswire.R.of_string s in
+  Alcotest.(check bool) (name ^ " round-trips") true (equal v (read r));
+  Alcotest.(check int) (name ^ " consumed") 0 (Syswire.R.remaining r);
+  for cut = 0 to String.length s - 1 do
+    match read (Syswire.R.of_string (String.sub s 0 cut)) with
+    | _ -> Alcotest.failf "%s: prefix of %d bytes decoded" name cut
+    | exception Syswire.Fail _ -> ()
+  done
+
+let test_golden_keys () =
+  List.iter
+    (fun s ->
+      let calls = samples s in
+      Alcotest.(check bool) (Sysno.to_string s ^ " has samples") true
+        (calls <> []);
+      List.iter
+        (fun c ->
+          Alcotest.(check string) (Syscall.to_string c) (Sysno.to_string s)
+            (Sysno.to_string (Syscall.number c)))
+        calls)
+    Sysno.all
+
+let test_golden_calls () =
+  List.iter
+    (fun c ->
+      check_golden ~name:(Syscall.to_string c) ~equal:Syscall.equal_call
+        Syswire.write_call Syswire.read_call c)
+    sample_calls
+
+let test_golden_results () =
+  List.iter
+    (fun res ->
+      check_golden
+        ~name:(Format.asprintf "%a" Syscall.pp_result res)
+        ~equal:Syscall.equal_result Syswire.write_result Syswire.read_result
+        res)
+    sample_results
+
+(* The concatenated encodings of every sample, pinned: a change here is a
+   change to the RMRC byte format. *)
+let test_golden_bytes () =
+  let w = Syswire.W.create () in
+  List.iter (Syswire.write_call w) sample_calls;
+  List.iter (Syswire.write_result w) sample_results;
+  Alcotest.(check string) "md5 of every sample's encoding"
+    "67180ab176170f1d94a1913f9b09ef16"
+    (Digest.to_hex (Digest.string (Syswire.W.contents w)))
+
+(* [W.int] writes the same bytes as [W.i64] of the same value: at the
+   zigzag edges (2^62 itself is [min_int]) and at random ints. *)
+let test_int_is_i64 () =
+  let random =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:10_000
+      QCheck2.Gen.int
+  in
+  List.iter
+    (fun n ->
+      Alcotest.(check string) (string_of_int n)
+        (encode Syswire.W.i64 (Int64.of_int n))
+        (encode Syswire.W.int n))
+    ([ 0; 1; -1; 64; -64; 1 lsl 61; -(1 lsl 61); max_int; min_int ] @ random)
+
 let () =
   Alcotest.run "wire"
     [
@@ -478,5 +844,15 @@ let () =
           Alcotest.test_case "unknown version" `Quick test_unknown_version;
           Alcotest.test_case "empty and garbage" `Quick test_empty_and_garbage;
           Alcotest.test_case "varint edges" `Quick test_varint_edges;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "samples keyed by number" `Quick test_golden_keys;
+          Alcotest.test_case "calls round-trip, prefixes fail" `Quick
+            test_golden_calls;
+          Alcotest.test_case "results round-trip, prefixes fail" `Quick
+            test_golden_results;
+          Alcotest.test_case "encodings pinned" `Quick test_golden_bytes;
+          Alcotest.test_case "int writes as i64" `Quick test_int_is_i64;
         ] );
     ]
