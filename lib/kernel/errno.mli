@@ -51,5 +51,13 @@ type t =
   | EREMOTEIO
   | EKEYREJECTED (* used by IK-B when an authorization token fails to verify *)
 
+val table : (t * string) array
+(** Every errno with its name, in declaration order. The position is
+    {!index}, the wire tag in recordings, so new errnos go at the end. *)
+
+val index : t -> int
+val of_index : int -> t option
+(** Inverse of {!index}; [None] outside the table. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -172,193 +172,91 @@ type t =
   (* -- ReMon's added registration call (Section 3.5) -- *)
   | Ipmon_register
 
-let to_string = function
-  | Gettimeofday -> "gettimeofday"
-  | Clock_gettime -> "clock_gettime"
-  | Time -> "time"
-  | Getpid -> "getpid"
-  | Gettid -> "gettid"
-  | Getpgrp -> "getpgrp"
-  | Getppid -> "getppid"
-  | Getgid -> "getgid"
-  | Getegid -> "getegid"
-  | Getuid -> "getuid"
-  | Geteuid -> "geteuid"
-  | Getcwd -> "getcwd"
-  | Getpriority -> "getpriority"
-  | Getrusage -> "getrusage"
-  | Times -> "times"
-  | Capget -> "capget"
-  | Getitimer -> "getitimer"
-  | Sysinfo -> "sysinfo"
-  | Uname -> "uname"
-  | Sched_yield -> "sched_yield"
-  | Nanosleep -> "nanosleep"
-  | Futex -> "futex"
-  | Ioctl -> "ioctl"
-  | Fcntl -> "fcntl"
-  | Access -> "access"
-  | Faccessat -> "faccessat"
-  | Lseek -> "lseek"
-  | Stat -> "stat"
-  | Lstat -> "lstat"
-  | Fstat -> "fstat"
-  | Fstatat -> "fstatat"
-  | Getdents -> "getdents"
-  | Readlink -> "readlink"
-  | Readlinkat -> "readlinkat"
-  | Getxattr -> "getxattr"
-  | Lgetxattr -> "lgetxattr"
-  | Fgetxattr -> "fgetxattr"
-  | Alarm -> "alarm"
-  | Setitimer -> "setitimer"
-  | Timerfd_gettime -> "timerfd_gettime"
-  | Madvise -> "madvise"
-  | Fadvise64 -> "fadvise64"
-  | Read -> "read"
-  | Readv -> "readv"
-  | Pread64 -> "pread64"
-  | Preadv -> "preadv"
-  | Select -> "select"
-  | Poll -> "poll"
-  | Sync -> "sync"
-  | Syncfs -> "syncfs"
-  | Fsync -> "fsync"
-  | Fdatasync -> "fdatasync"
-  | Timerfd_settime -> "timerfd_settime"
-  | Write -> "write"
-  | Writev -> "writev"
-  | Pwrite64 -> "pwrite64"
-  | Pwritev -> "pwritev"
-  | Epoll_wait -> "epoll_wait"
-  | Recvfrom -> "recvfrom"
-  | Recvmsg -> "recvmsg"
-  | Recvmmsg -> "recvmmsg"
-  | Getsockname -> "getsockname"
-  | Getpeername -> "getpeername"
-  | Getsockopt -> "getsockopt"
-  | Sendto -> "sendto"
-  | Sendmsg -> "sendmsg"
-  | Sendmmsg -> "sendmmsg"
-  | Sendfile -> "sendfile"
-  | Epoll_ctl -> "epoll_ctl"
-  | Setsockopt -> "setsockopt"
-  | Shutdown -> "shutdown"
-  | Open -> "open"
-  | Openat -> "openat"
-  | Creat -> "creat"
-  | Close -> "close"
-  | Dup -> "dup"
-  | Dup2 -> "dup2"
-  | Pipe -> "pipe"
-  | Socket -> "socket"
-  | Socketpair -> "socketpair"
-  | Bind -> "bind"
-  | Listen -> "listen"
-  | Accept -> "accept"
-  | Accept4 -> "accept4"
-  | Connect -> "connect"
-  | Epoll_create -> "epoll_create"
-  | Timerfd_create -> "timerfd_create"
-  | Unlink -> "unlink"
-  | Rename -> "rename"
-  | Mkdir -> "mkdir"
-  | Rmdir -> "rmdir"
-  | Truncate -> "truncate"
-  | Ftruncate -> "ftruncate"
-  | Mmap -> "mmap"
-  | Munmap -> "munmap"
-  | Mprotect -> "mprotect"
-  | Mremap -> "mremap"
-  | Brk -> "brk"
-  | Clone -> "clone"
-  | Fork -> "fork"
-  | Execve -> "execve"
-  | Exit -> "exit"
-  | Exit_group -> "exit_group"
-  | Wait4 -> "wait4"
-  | Kill -> "kill"
-  | Tgkill -> "tgkill"
-  | Rt_sigaction -> "rt_sigaction"
-  | Rt_sigprocmask -> "rt_sigprocmask"
-  | Rt_sigreturn -> "rt_sigreturn"
-  | Sigaltstack -> "sigaltstack"
-  | Pause -> "pause"
-  | Shmget -> "shmget"
-  | Shmat -> "shmat"
-  | Shmdt -> "shmdt"
-  | Shmctl -> "shmctl"
-  | Ipmon_register -> "ipmon_register"
-  | Getpgid -> "getpgid"
-  | Getsid -> "getsid"
-  | Getrlimit -> "getrlimit"
-  | Sched_getaffinity -> "sched_getaffinity"
-  | Clock_getres -> "clock_getres"
-  | Getrandom -> "getrandom"
-  | Statfs -> "statfs"
-  | Fstatfs -> "fstatfs"
-  | Getdents64 -> "getdents64"
-  | Readahead -> "readahead"
-  | Mincore -> "mincore"
-  | Pselect6 -> "pselect6"
-  | Ppoll -> "ppoll"
-  | Msync -> "msync"
-  | Flock -> "flock"
-  | Chmod -> "chmod"
-  | Fchmod -> "fchmod"
-  | Chown -> "chown"
-  | Utimensat -> "utimensat"
-  | Dup3 -> "dup3"
-  | Pipe2 -> "pipe2"
-  | Eventfd -> "eventfd"
-  | Mkdirat -> "mkdirat"
-  | Unlinkat -> "unlinkat"
-  | Renameat -> "renameat"
-  | Link -> "link"
-  | Linkat -> "linkat"
-  | Symlink -> "symlink"
-  | Symlinkat -> "symlinkat"
-  | Umask -> "umask"
-  | Mlock -> "mlock"
-  | Munlock -> "munlock"
-  | Setrlimit -> "setrlimit"
-  | Prlimit64 -> "prlimit64"
-  | Sched_setaffinity -> "sched_setaffinity"
-  | Setsid -> "setsid"
-
-let all =
-  [
-    Gettimeofday; Clock_gettime; Time; Getpid; Gettid; Getpgrp; Getppid;
-    Getgid; Getegid; Getuid; Geteuid; Getcwd; Getpriority; Getrusage; Times;
-    Capget; Getitimer; Sysinfo; Uname; Sched_yield; Nanosleep; Futex; Ioctl;
-    Fcntl; Access; Faccessat; Lseek; Stat; Lstat; Fstat; Fstatat; Getdents;
-    Readlink; Readlinkat; Getxattr; Lgetxattr; Fgetxattr; Alarm; Setitimer;
-    Timerfd_gettime; Madvise; Fadvise64; Read; Readv; Pread64; Preadv; Select;
-    Poll; Sync; Syncfs; Fsync; Fdatasync; Timerfd_settime; Write; Writev;
-    Pwrite64; Pwritev; Epoll_wait; Recvfrom; Recvmsg; Recvmmsg; Getsockname;
-    Getpeername; Getsockopt; Sendto; Sendmsg; Sendmmsg; Sendfile; Epoll_ctl;
-    Setsockopt; Shutdown; Open; Openat; Creat; Close; Dup; Dup2; Pipe; Socket;
-    Socketpair; Bind; Listen; Accept; Accept4; Connect; Epoll_create;
-    Timerfd_create; Unlink; Rename; Mkdir; Rmdir; Truncate; Ftruncate; Mmap;
-    Munmap; Mprotect; Mremap; Brk; Clone; Fork; Execve; Exit; Exit_group;
-    Wait4; Kill; Tgkill; Rt_sigaction; Rt_sigprocmask; Rt_sigreturn;
-    Sigaltstack; Pause; Shmget; Shmat; Shmdt; Shmctl; Ipmon_register;
-    Getpgid; Getsid; Getrlimit; Sched_getaffinity; Clock_getres; Getrandom;
-    Statfs; Fstatfs; Getdents64; Readahead; Mincore; Pselect6; Ppoll; Msync;
-    Flock; Chmod; Fchmod; Chown; Utimensat; Dup3; Pipe2; Eventfd; Mkdirat;
-    Unlinkat; Renameat; Link; Linkat; Symlink; Symlinkat; Umask; Mlock;
-    Munlock; Setrlimit; Prlimit64; Sched_setaffinity; Setsid;
-  ]
+(* Every call with its name, in listing order: [all], [remon policy] and
+   Table 1 print in this order, which groups calls by policy level. Wire
+   tags and per-call counters key off [index] (declaration order) instead. *)
+let table =
+  [|
+    (Gettimeofday, "gettimeofday"); (Clock_gettime, "clock_gettime");
+    (Time, "time"); (Getpid, "getpid"); (Gettid, "gettid");
+    (Getpgrp, "getpgrp"); (Getppid, "getppid"); (Getgid, "getgid");
+    (Getegid, "getegid"); (Getuid, "getuid"); (Geteuid, "geteuid");
+    (Getcwd, "getcwd"); (Getpriority, "getpriority"); (Getrusage, "getrusage");
+    (Times, "times"); (Capget, "capget"); (Getitimer, "getitimer");
+    (Sysinfo, "sysinfo"); (Uname, "uname"); (Sched_yield, "sched_yield");
+    (Nanosleep, "nanosleep"); (Futex, "futex"); (Ioctl, "ioctl");
+    (Fcntl, "fcntl"); (Access, "access"); (Faccessat, "faccessat");
+    (Lseek, "lseek"); (Stat, "stat"); (Lstat, "lstat"); (Fstat, "fstat");
+    (Fstatat, "fstatat"); (Getdents, "getdents"); (Readlink, "readlink");
+    (Readlinkat, "readlinkat"); (Getxattr, "getxattr");
+    (Lgetxattr, "lgetxattr"); (Fgetxattr, "fgetxattr"); (Alarm, "alarm");
+    (Setitimer, "setitimer"); (Timerfd_gettime, "timerfd_gettime");
+    (Madvise, "madvise"); (Fadvise64, "fadvise64"); (Read, "read");
+    (Readv, "readv"); (Pread64, "pread64"); (Preadv, "preadv");
+    (Select, "select"); (Poll, "poll"); (Sync, "sync"); (Syncfs, "syncfs");
+    (Fsync, "fsync"); (Fdatasync, "fdatasync");
+    (Timerfd_settime, "timerfd_settime"); (Write, "write"); (Writev, "writev");
+    (Pwrite64, "pwrite64"); (Pwritev, "pwritev"); (Epoll_wait, "epoll_wait");
+    (Recvfrom, "recvfrom"); (Recvmsg, "recvmsg"); (Recvmmsg, "recvmmsg");
+    (Getsockname, "getsockname"); (Getpeername, "getpeername");
+    (Getsockopt, "getsockopt"); (Sendto, "sendto"); (Sendmsg, "sendmsg");
+    (Sendmmsg, "sendmmsg"); (Sendfile, "sendfile"); (Epoll_ctl, "epoll_ctl");
+    (Setsockopt, "setsockopt"); (Shutdown, "shutdown"); (Open, "open");
+    (Openat, "openat"); (Creat, "creat"); (Close, "close"); (Dup, "dup");
+    (Dup2, "dup2"); (Pipe, "pipe"); (Socket, "socket");
+    (Socketpair, "socketpair"); (Bind, "bind"); (Listen, "listen");
+    (Accept, "accept"); (Accept4, "accept4"); (Connect, "connect");
+    (Epoll_create, "epoll_create"); (Timerfd_create, "timerfd_create");
+    (Unlink, "unlink"); (Rename, "rename"); (Mkdir, "mkdir"); (Rmdir, "rmdir");
+    (Truncate, "truncate"); (Ftruncate, "ftruncate"); (Mmap, "mmap");
+    (Munmap, "munmap"); (Mprotect, "mprotect"); (Mremap, "mremap");
+    (Brk, "brk"); (Clone, "clone"); (Fork, "fork"); (Execve, "execve");
+    (Exit, "exit"); (Exit_group, "exit_group"); (Wait4, "wait4");
+    (Kill, "kill"); (Tgkill, "tgkill"); (Rt_sigaction, "rt_sigaction");
+    (Rt_sigprocmask, "rt_sigprocmask"); (Rt_sigreturn, "rt_sigreturn");
+    (Sigaltstack, "sigaltstack"); (Pause, "pause"); (Shmget, "shmget");
+    (Shmat, "shmat"); (Shmdt, "shmdt"); (Shmctl, "shmctl");
+    (Ipmon_register, "ipmon_register"); (Getpgid, "getpgid");
+    (Getsid, "getsid"); (Getrlimit, "getrlimit");
+    (Sched_getaffinity, "sched_getaffinity"); (Clock_getres, "clock_getres");
+    (Getrandom, "getrandom"); (Statfs, "statfs"); (Fstatfs, "fstatfs");
+    (Getdents64, "getdents64"); (Readahead, "readahead"); (Mincore, "mincore");
+    (Pselect6, "pselect6"); (Ppoll, "ppoll"); (Msync, "msync");
+    (Flock, "flock"); (Chmod, "chmod"); (Fchmod, "fchmod"); (Chown, "chown");
+    (Utimensat, "utimensat"); (Dup3, "dup3"); (Pipe2, "pipe2");
+    (Eventfd, "eventfd"); (Mkdirat, "mkdirat"); (Unlinkat, "unlinkat");
+    (Renameat, "renameat"); (Link, "link"); (Linkat, "linkat");
+    (Symlink, "symlink"); (Symlinkat, "symlinkat"); (Umask, "umask");
+    (Mlock, "mlock"); (Munlock, "munlock"); (Setrlimit, "setrlimit");
+    (Prlimit64, "prlimit64"); (Sched_setaffinity, "sched_setaffinity");
+    (Setsid, "setsid");
+  |]
 
 let compare = Stdlib.compare
 let equal = Stdlib.( = )
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 (* All constructors are constant, so values are small consecutive integers;
    [index] exposes that for dense per-syscall counter arrays. *)
 external index : t -> int = "%identity"
 
-let slots = 256 (* > number of constructors; sizes index-keyed arrays *)
+let slots = Array.length table
+
+(* [table] in [index] order, checked to hold every index below [slots]
+   exactly once. *)
+let by_index =
+  let a = Array.copy table in
+  Array.sort (fun (s, _) (s', _) -> compare s s') a;
+  Array.iteri
+    (fun i (s, name) ->
+      if index s <> i then
+        invalid_arg ("Sysno.table: gap or duplicate at " ^ name))
+    a;
+  a
+
+let of_index i = if i < 0 || i >= slots then None else Some (fst by_index.(i))
+let to_string s = snd by_index.(index s)
+let all = Array.to_list (Array.map fst table)
+let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 module Set = Set.Make (struct
   type nonrec t = t

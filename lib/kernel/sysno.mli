@@ -173,20 +173,27 @@ type t =
   (* -- ReMon's added registration call (Section 3.5) -- *)
   | Ipmon_register
 
+val table : (t * string) array
+(** Every call with its name, in listing order: Table 1's, by policy
+    level, not declaration order. The functions below derive from it. *)
+
 val to_string : t -> string
 
 val all : t list
-(** Every supported call, in declaration order. *)
+(** Every supported call, in listing order ({!table}'s order). *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 val index : t -> int
-(** Dense 0-based constructor index (constant-constructor representation);
-    keys per-syscall counter arrays. *)
+(** Dense 0-based constructor index, in declaration order; keys
+    per-syscall counter arrays and is the call's wire tag. *)
+
+val of_index : int -> t option
+(** Inverse of {!index}; [None] outside [0 .. slots - 1]. *)
 
 val slots : int
-(** Strict upper bound on {!index}; sizes index-keyed arrays. *)
+(** Number of calls, one past the largest {!index}; sizes arrays. *)
 
 module Set : Set.S with type elt = t

@@ -7,7 +7,12 @@
    total: malformed input raises [Fail] with a typed [error] — never an
    out-of-bounds read, an unbounded allocation, or an escaping generic
    exception. That is the deliberate contrast with [Marshal], which is
-   none of those things on corrupted bytes. *)
+   none of those things on corrupted bytes.
+
+   Every wire form is a ['a codec]: a writer and a reader built together
+   from the combinators below, so the two cannot disagree on field order.
+   [call_case] gives each syscall number its form, in one exhaustive
+   match. *)
 
 type error = Truncated | Corrupt of string
 
@@ -29,17 +34,18 @@ module W = struct
   let create ?(initial = 256) () = { buf = Buffer.create initial }
   let u8 t n = Buffer.add_char t.buf (Char.chr (n land 0xff))
 
-  (* LEB128 on a non-negative native int. *)
+  (* LEB128 of [n]'s bit pattern, read as unsigned: [lsr] brings in
+     zeros, so a negative [n] takes nine bytes and then stops. *)
+  let rec leb128 buf n =
+    if n land lnot 0x7f = 0 then Buffer.add_char buf (Char.chr n)
+    else begin
+      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
+      leb128 buf (n lsr 7)
+    end
+
   let uint t n =
     if n < 0 then invalid_arg "Syswire.W.uint: negative";
-    let rec go n =
-      if n < 0x80 then Buffer.add_char t.buf (Char.chr n)
-      else begin
-        Buffer.add_char t.buf (Char.chr (0x80 lor (n land 0x7f)));
-        go (n lsr 7)
-      end
-    in
-    go n
+    leb128 t.buf n
 
   (* Zigzag + LEB128 over the full 64-bit range. *)
   let i64 t v =
@@ -54,14 +60,16 @@ module W = struct
     in
     go zz
 
-  let int t n = i64 t (Int64.of_int n)
+  (* The same bytes as [i64 t (Int64.of_int n)], without boxing: the
+     64-bit zigzag of a 63-bit int is below 2^63, so it is exactly the
+     native zigzag's bit pattern. *)
+  let int t n = leb128 t.buf ((n lsl 1) lxor (n asr 62))
   let bool t b = u8 t (if b then 1 else 0)
 
   let str t s =
     uint t (String.length s);
     Buffer.add_string t.buf s
 
-  let length t = Buffer.length t.buf
   let contents t = Buffer.contents t.buf
 end
 
@@ -133,888 +141,726 @@ module R = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Small-field helpers *)
+(* Codecs *)
 
-let w_opt_int w = function
-  | None -> W.bool w false
-  | Some n ->
-    W.bool w true;
-    W.int w n
+type 'a codec = { write : W.t -> 'a -> unit; read : R.t -> 'a }
 
-let r_opt_int r = if R.bool r then Some (R.int r) else None
+let unit = { write = (fun _ () -> ()); read = (fun _ -> ()) }
+let u8 = { write = W.u8; read = R.u8 }
+let uint = { write = W.uint; read = R.uint }
+let int = { write = W.int; read = R.int }
+let i64 = { write = W.i64; read = R.i64 }
+let bool = { write = W.bool; read = R.bool }
+let str = { write = W.str; read = R.str }
 
-let w_list w f l =
-  W.uint w (List.length l);
-  List.iter (fun x -> f w x) l
+let pair a b =
+  {
+    write =
+      (fun w (x, y) ->
+        a.write w x;
+        b.write w y);
+    read =
+      (fun r ->
+        let x = a.read r in
+        let y = b.read r in
+        (x, y));
+  }
+
+let triple a b c =
+  {
+    write =
+      (fun w (x, y, z) ->
+        a.write w x;
+        b.write w y;
+        c.write w z);
+    read =
+      (fun r ->
+        let x = a.read r in
+        let y = b.read r in
+        let z = c.read r in
+        (x, y, z));
+  }
+
+let option c =
+  {
+    write =
+      (fun w -> function
+        | None -> W.bool w false
+        | Some x ->
+          W.bool w true;
+          c.write w x);
+    read = (fun r -> if R.bool r then Some (c.read r) else None);
+  }
 
 (* Each element costs at least one byte, so a length exceeding the bytes
    left is provably truncated — checked before any allocation. *)
-let r_list r f =
-  let n = R.uint r in
-  if n > R.remaining r then fail Truncated;
-  let rec go acc i = if i = 0 then List.rev acc else go (f r :: acc) (i - 1) in
-  go [] n
-
-let w_events w (e : Syscall.poll_events) =
-  W.u8 w
-    ((if e.Syscall.pollin then 1 else 0)
-    lor (if e.Syscall.pollout then 2 else 0)
-    lor (if e.Syscall.pollhup then 4 else 0)
-    lor if e.Syscall.pollerr then 8 else 0)
-
-let r_events r =
-  let b = R.u8 r in
-  if b > 15 then corrupt "bad poll events";
+let list c =
   {
-    Syscall.pollin = b land 1 <> 0;
-    pollout = b land 2 <> 0;
-    pollhup = b land 4 <> 0;
-    pollerr = b land 8 <> 0;
+    write =
+      (fun w l ->
+        W.uint w (List.length l);
+        List.iter (c.write w) l);
+    read =
+      (fun r ->
+        let n = R.uint r in
+        if n > R.remaining r then fail Truncated;
+        List.init n (fun _ -> c.read r));
   }
 
-let w_open_flags w (f : Syscall.open_flags) =
-  W.u8 w
-    ((if f.Syscall.read then 1 else 0)
-    lor (if f.Syscall.write then 2 else 0)
-    lor (if f.Syscall.create then 4 else 0)
-    lor (if f.Syscall.trunc then 8 else 0)
-    lor (if f.Syscall.append then 16 else 0)
-    lor if f.Syscall.nonblock then 32 else 0)
+let map inj proj c =
+  { write = (fun w v -> c.write w (proj v)); read = (fun r -> inj (c.read r)) }
 
-let r_open_flags r =
-  let b = R.u8 r in
-  if b > 63 then corrupt "bad open flags";
+(* Booleans packed into one byte, bit [i] from [bits.(i)]; [make] rebuilds
+   the value from the byte. A set bit past the last flag is corrupt. *)
+let flags what (bits : ('a -> bool) array) (make : int -> 'a) =
+  let bad = "bad " ^ what and n = Array.length bits in
   {
-    Syscall.read = b land 1 <> 0;
-    write = b land 2 <> 0;
-    create = b land 4 <> 0;
-    trunc = b land 8 <> 0;
-    append = b land 16 <> 0;
-    nonblock = b land 32 <> 0;
+    write =
+      (fun w v ->
+        let b = ref 0 in
+        for i = 0 to n - 1 do
+          if bits.(i) v then b := !b lor (1 lsl i)
+        done;
+        W.u8 w !b);
+    read =
+      (fun r ->
+        let b = R.u8 r in
+        if b lsr n <> 0 then corrupt bad;
+        make b);
   }
 
-let w_prot w (p : Syscall.prot) =
-  W.u8 w
-    ((if p.Syscall.pr then 1 else 0)
-    lor (if p.Syscall.pw then 2 else 0)
-    lor if p.Syscall.px then 4 else 0)
+let bit b i = b land (1 lsl i) <> 0
 
-let r_prot r =
-  let b = R.u8 r in
-  if b > 7 then corrupt "bad prot";
-  { Syscall.pr = b land 1 <> 0; pw = b land 2 <> 0; px = b land 4 <> 0 }
+(* One constructor of a variant: the codec of its fields, the injection
+   that builds it and the projection that takes it apart. A projection is
+   only applied to its own constructor. *)
+type 'v case =
+  | Case : { fields : 'f codec; inj : 'f -> 'v; proj : 'v -> 'f } -> 'v case
 
-let w_whence w = function
-  | Syscall.Seek_set -> W.u8 w 0
-  | Syscall.Seek_cur -> W.u8 w 1
-  | Syscall.Seek_end -> W.u8 w 2
+let case fields inj proj = Case { fields; inj; proj }
+let const v = Case { fields = unit; inj = (fun () -> v); proj = (fun _ -> ()) }
+let other _ = invalid_arg "Syswire: projection applied to another constructor"
 
-let r_whence r =
-  match R.u8 r with
-  | 0 -> Syscall.Seek_set
-  | 1 -> Syscall.Seek_cur
-  | 2 -> Syscall.Seek_end
-  | _ -> corrupt "bad whence"
+(* The tag [tag v] in the [tagc] codec, then the fields of
+   [cases.(tag v)]: [tag v] must be the position of [v]'s case. *)
+let tagged tagc what tag cases =
+  let bad = "bad " ^ what in
+  {
+    write =
+      (fun w v ->
+        let i = tag v in
+        tagc.write w i;
+        match cases.(i) with Case k -> k.fields.write w (k.proj v));
+    read =
+      (fun r ->
+        let i = tagc.read r in
+        if i >= Array.length cases then corrupt bad;
+        match cases.(i) with Case k -> k.inj (k.fields.read r));
+  }
 
-let w_itimer w (s : Syscall.itimer_spec) =
-  W.int w s.Syscall.interval_ns;
-  W.int w s.Syscall.value_ns
+let sum what tag cases = tagged u8 what tag cases
 
-let r_itimer r =
-  let interval_ns = R.int r in
-  let value_ns = R.int r in
-  { Syscall.interval_ns; value_ns }
+(* A sum of constant constructors, tagged by position in [values].
+   Constant constructors are immediates, so [==] tells them apart. *)
+let enum what values =
+  let rec position v i =
+    if i = Array.length values then invalid_arg ("Syswire: unlisted " ^ what)
+    else if values.(i) == v then i
+    else position v (i + 1)
+  in
+  sum what (fun v -> position v 0) (Array.map const values)
 
-let w_domain w = function Syscall.Af_inet -> W.u8 w 0 | Syscall.Af_unix -> W.u8 w 1
+(* A value numbered by a dense table index, as [Sysno] and [Errno] do. *)
+let indexed what index of_index =
+  let bad = "bad " ^ what in
+  let of_tag i = match of_index i with Some v -> v | None -> corrupt bad in
+  map of_tag index uint
 
-let r_domain r =
-  match R.u8 r with
-  | 0 -> Syscall.Af_inet
-  | 1 -> Syscall.Af_unix
-  | _ -> corrupt "bad socket domain"
-
-let w_socktype w = function
-  | Syscall.Sock_stream -> W.u8 w 0
-  | Syscall.Sock_dgram -> W.u8 w 1
-
-let r_socktype r =
-  match R.u8 r with
-  | 0 -> Syscall.Sock_stream
-  | 1 -> Syscall.Sock_dgram
-  | _ -> corrupt "bad socket type"
-
-let w_pollfd w (fd, e) =
-  W.int w fd;
-  w_events w e
-
-let r_pollfd r =
-  let fd = R.int r in
-  let e = r_events r in
-  (fd, e)
-
-(* Sysno.index is the declaration-order position, so [Sysno.all] inverts it. *)
-(* Keyed by [Sysno.index] — the dense constructor index the writer emits —
-   NOT by position in [Sysno.all], whose order groups calls by category. *)
-let sysno_of_index =
-  let a = Array.make Sysno.slots None in
-  List.iter (fun s -> a.(Sysno.index s) <- Some s) Sysno.all;
-  a
-
-let r_sysno r =
-  let i = R.uint r in
-  if i >= Array.length sysno_of_index then corrupt "bad sysno index";
-  match sysno_of_index.(i) with
-  | Some s -> s
-  | None -> corrupt "bad sysno index"
+let sysno = indexed "sysno index" Sysno.index Sysno.of_index
+let errno = indexed "errno tag" Errno.index Errno.of_index
 
 (* ------------------------------------------------------------------ *)
-(* Errno *)
+(* Syscall field types *)
 
-let errno_table : Errno.t array =
-  [|
-    Errno.EPERM; ENOENT; ESRCH; EINTR; EIO; EBADF; EAGAIN; ENOMEM; EACCES;
-    EFAULT; EBUSY; EEXIST; ENOTDIR; EISDIR; EINVAL; ENFILE; EMFILE; ENOSPC;
-    ESPIPE; EPIPE; ERANGE; ENOSYS; ENOTEMPTY; ELOOP; ENOTSOCK; EDESTADDRREQ;
-    EMSGSIZE; EPROTONOSUPPORT; EOPNOTSUPP; EADDRINUSE; EADDRNOTAVAIL;
-    ENETUNREACH; ECONNABORTED; ECONNRESET; ENOBUFS; EISCONN; ENOTCONN;
-    ETIMEDOUT; ECONNREFUSED; EALREADY; EINPROGRESS; ECHILD; EDEADLK;
-    ENAMETOOLONG; EIDRM; ETIME; EREMOTEIO; EKEYREJECTED;
-  |]
+let events =
+  flags "poll events"
+    Syscall.
+      [|
+        (fun e -> e.pollin); (fun e -> e.pollout); (fun e -> e.pollhup);
+        (fun e -> e.pollerr);
+      |]
+    (fun b ->
+      Syscall.
+        {
+          pollin = bit b 0;
+          pollout = bit b 1;
+          pollhup = bit b 2;
+          pollerr = bit b 3;
+        })
 
-let errno_index : (Errno.t, int) Hashtbl.t =
-  let h = Hashtbl.create 64 in
-  Array.iteri (fun i e -> Hashtbl.replace h e i) errno_table;
-  h
+let open_flags =
+  flags "open flags"
+    Syscall.
+      [|
+        (fun f -> f.read); (fun f -> f.write); (fun f -> f.create);
+        (fun f -> f.trunc); (fun f -> f.append); (fun f -> f.nonblock);
+      |]
+    (fun b ->
+      Syscall.
+        {
+          read = bit b 0;
+          write = bit b 1;
+          create = bit b 2;
+          trunc = bit b 3;
+          append = bit b 4;
+          nonblock = bit b 5;
+        })
 
-let write_errno w e =
-  match Hashtbl.find_opt errno_index e with
-  | Some i -> W.uint w i
-  | None -> invalid_arg "Syswire.write_errno: unknown errno"
+let prot =
+  flags "prot"
+    Syscall.[| (fun p -> p.pr); (fun p -> p.pw); (fun p -> p.px) |]
+    (fun b -> Syscall.{ pr = bit b 0; pw = bit b 1; px = bit b 2 })
 
-let read_errno r =
-  let i = R.uint r in
-  if i >= Array.length errno_table then corrupt "bad errno tag";
-  errno_table.(i)
+let itimer =
+  map
+    (fun (interval_ns, value_ns) -> Syscall.{ interval_ns; value_ns })
+    (fun s -> Syscall.(s.interval_ns, s.value_ns))
+    (pair int int)
+
+let ints = list int
+let strs = list str
+let timeout = option int
+let pollfds = list (pair int events)
+let clock = enum "clock id" [| `Realtime; `Monotonic |]
+let whence = enum "whence" Syscall.[| Seek_set; Seek_cur; Seek_end |]
+let domain = enum "socket domain" Syscall.[| Af_inet; Af_unix |]
+let socktype = enum "socket type" Syscall.[| Sock_stream; Sock_dgram |]
+let flock_op = enum "flock op" Syscall.[| Lock_sh; Lock_ex; Lock_un |]
+let epoll_op = enum "epoll op" Syscall.[| Epoll_add; Epoll_mod; Epoll_del |]
+let shutdown_how = enum "shutdown how" Syscall.[| Shut_rd; Shut_wr; Shut_rdwr |]
+
+let sigmask_how =
+  enum "sigmask how" Syscall.[| Sig_block; Sig_unblock; Sig_setmask |]
+
+let stat_kind = enum "stat kind" [| `Reg; `Dir; `Fifo; `Sock; `Special |]
+
+let stat =
+  map
+    (fun ((st_ino, st_size), (st_kind, st_mtime_ns)) ->
+      Syscall.{ st_ino; st_size; st_kind; st_mtime_ns })
+    (fun s -> Syscall.((s.st_ino, s.st_size), (s.st_kind, s.st_mtime_ns)))
+    (pair (pair int int) (pair stat_kind int))
+
+let futex_op =
+  let open Syscall in
+  sum "futex op"
+    (function Futex_wait _ -> 0 | Futex_wake _ -> 1)
+    [|
+      case (triple i64 int timeout)
+        (fun (addr, expected, timeout_ns) ->
+          Futex_wait { addr; expected; timeout_ns })
+        (function
+          | Futex_wait { addr; expected; timeout_ns } ->
+            (addr, expected, timeout_ns)
+          | op -> other op);
+      case (pair i64 int) (fun (addr, count) -> Futex_wake { addr; count })
+        (function Futex_wake { addr; count } -> (addr, count) | op -> other op);
+    |]
+
+let ioctl_op =
+  let open Syscall in
+  sum "ioctl op"
+    (function Fionread -> 0 | Fionbio _ -> 1 | Tiocgwinsz -> 2)
+    [|
+      const Fionread;
+      case bool (fun b -> Fionbio b) (function Fionbio b -> b | op -> other op);
+      const Tiocgwinsz;
+    |]
+
+let fcntl_op =
+  let open Syscall in
+  sum "fcntl op"
+    (function F_getfl -> 0 | F_setfl _ -> 1 | F_dupfd _ -> 2)
+    [|
+      const F_getfl;
+      case bool (fun nonblock -> F_setfl { nonblock })
+        (function F_setfl { nonblock } -> nonblock | op -> other op);
+      case int (fun n -> F_dupfd n) (function F_dupfd n -> n | op -> other op);
+    |]
+
+let map_kind =
+  let open Syscall in
+  sum "map kind"
+    (function Map_anon -> 0 | Map_shared_anon -> 1 | Map_file _ -> 2)
+    [|
+      const Map_anon;
+      const Map_shared_anon;
+      case int (fun fd -> Map_file fd)
+        (function Map_file fd -> fd | k -> other k);
+    |]
+
+let sig_action =
+  let open Syscall in
+  sum "sigaction"
+    (function Sig_default -> 0 | Sig_ignore -> 1 | Sig_handler _ -> 2)
+    [|
+      const Sig_default;
+      const Sig_ignore;
+      case int (fun id -> Sig_handler id)
+        (function Sig_handler id -> id | a -> other a);
+    |]
 
 (* ------------------------------------------------------------------ *)
 (* Calls *)
 
-let write_call w (c : Syscall.call) =
-  W.uint w (Sysno.index (Syscall.number c));
-  match c with
-  (* payload-free *)
-  | Syscall.Gettimeofday | Time | Getpid | Gettid | Getpgrp | Getppid | Getgid
-  | Getegid | Getuid | Geteuid | Getcwd | Getpriority | Getrusage | Times
-  | Capget | Getitimer | Sysinfo | Uname | Sched_yield | Getpgid | Getsid
-  | Sched_getaffinity | Clock_getres | Sync | Pipe | Epoll_create
-  | Timerfd_create | Fork | Setsid | Rt_sigreturn | Sigaltstack | Pause ->
-    ()
-  | Clock_gettime `Realtime -> W.u8 w 0
-  | Clock_gettime `Monotonic -> W.u8 w 1
-  | Nanosleep n | Getrlimit n | Getrandom n | Alarm n | Brk n | Clone n
-  | Exit n | Exit_group n | Wait4 n | Umask n | Eventfd n
-  | Sched_setaffinity n ->
-    W.int w n
-  | Futex (Syscall.Futex_wait { addr; expected; timeout_ns }) ->
-    W.u8 w 0;
-    W.i64 w addr;
-    W.int w expected;
-    w_opt_int w timeout_ns
-  | Futex (Syscall.Futex_wake { addr; count }) ->
-    W.u8 w 1;
-    W.i64 w addr;
-    W.int w count
-  | Ioctl (fd, op) -> (
-    W.int w fd;
-    match op with
-    | Syscall.Fionread -> W.u8 w 0
-    | Syscall.Fionbio b ->
-      W.u8 w 1;
-      W.bool w b
-    | Syscall.Tiocgwinsz -> W.u8 w 2)
-  | Fcntl (fd, op) -> (
-    W.int w fd;
-    match op with
-    | Syscall.F_getfl -> W.u8 w 0
-    | Syscall.F_setfl { nonblock } ->
-      W.u8 w 1;
-      W.bool w nonblock
-    | Syscall.F_dupfd n ->
-      W.u8 w 2;
-      W.int w n)
-  | Access s | Faccessat s | Stat s | Lstat s | Fstatat s | Readlink s
-  | Readlinkat s | Statfs s | Utimensat s | Creat s | Unlink s | Mkdir s
-  | Rmdir s | Mkdirat s | Unlinkat s | Execve s ->
-    W.str w s
-  | Lseek (fd, off, whence) ->
-    W.int w fd;
-    W.int w off;
-    w_whence w whence
-  | Fstat fd | Getdents fd | Syncfs fd | Fsync fd | Fdatasync fd
-  | Fadvise64 fd | Timerfd_gettime fd | Fstatfs fd | Getdents64 fd
-  | Readahead fd | Close fd | Dup fd | Accept fd | Getsockname fd
-  | Getpeername fd ->
-    W.int w fd
-  | Getxattr (p, a) | Lgetxattr (p, a) ->
-    W.str w p;
-    W.str w a
-  | Fgetxattr (fd, a) ->
-    W.int w fd;
-    W.str w a
-  | Setitimer s -> w_itimer w s
-  | Madvise { addr; len }
-  | Mincore { addr; len }
-  | Msync { addr; len }
-  | Munmap { addr; len }
-  | Mlock { addr; len }
-  | Munlock { addr; len } ->
-    W.i64 w addr;
-    W.int w len
-  | Read (fd, n) | Recvfrom (fd, n) | Recvmsg (fd, n) | Getsockopt (fd, n)
-  | Bind (fd, n) | Listen (fd, n) | Connect (fd, n) | Ftruncate (fd, n)
-  | Fchmod (fd, n) | Dup2 (fd, n) | Dup3 (fd, n) ->
-    W.int w fd;
-    W.int w n
-  | Readv (fd, lens) ->
-    W.int w fd;
-    w_list w W.int lens
-  | Pread64 (fd, n, off) ->
-    W.int w fd;
-    W.int w n;
-    W.int w off
-  | Preadv (fd, lens, off) ->
-    W.int w fd;
-    w_list w W.int lens;
-    W.int w off
-  | Select { readfds; writefds; timeout_ns }
-  | Pselect6 { readfds; writefds; timeout_ns } ->
-    w_list w W.int readfds;
-    w_list w W.int writefds;
-    w_opt_int w timeout_ns
-  | Poll { fds; timeout_ns } | Ppoll { fds; timeout_ns } ->
-    w_list w w_pollfd fds;
-    w_opt_int w timeout_ns
-  | Timerfd_settime (fd, s) ->
-    W.int w fd;
-    w_itimer w s
-  | Flock (fd, op) ->
-    W.int w fd;
-    W.u8 w
-      (match op with
-      | Syscall.Lock_sh -> 0
-      | Syscall.Lock_ex -> 1
-      | Syscall.Lock_un -> 2)
-  | Chmod (p, m) ->
-    W.str w p;
-    W.int w m
-  | Chown (p, u, g) ->
-    W.str w p;
-    W.int w u;
-    W.int w g
-  | Write (fd, s) | Sendto (fd, s) | Sendmsg (fd, s) ->
-    W.int w fd;
-    W.str w s
-  | Writev (fd, ss) | Sendmmsg (fd, ss) ->
-    W.int w fd;
-    w_list w W.str ss
-  | Pwrite64 (fd, s, off) ->
-    W.int w fd;
-    W.str w s;
-    W.int w off
-  | Pwritev (fd, ss, off) ->
-    W.int w fd;
-    w_list w W.str ss;
-    W.int w off
-  | Epoll_wait { epfd; max_events; timeout_ns } ->
-    W.int w epfd;
-    W.int w max_events;
-    w_opt_int w timeout_ns
-  | Recvmmsg (fd, msgs, each) ->
-    W.int w fd;
-    W.int w msgs;
-    W.int w each
-  | Sendfile { out_fd; in_fd; count } ->
-    W.int w out_fd;
-    W.int w in_fd;
-    W.int w count
-  | Epoll_ctl { epfd; op; fd; events; user_data } ->
-    W.int w epfd;
-    W.u8 w
-      (match op with
-      | Syscall.Epoll_add -> 0
-      | Syscall.Epoll_mod -> 1
-      | Syscall.Epoll_del -> 2);
-    W.int w fd;
-    w_events w events;
-    W.i64 w user_data
-  | Setsockopt (fd, o, v) ->
-    W.int w fd;
-    W.int w o;
-    W.int w v
-  | Shutdown (fd, how) ->
-    W.int w fd;
-    W.u8 w
-      (match how with
-      | Syscall.Shut_rd -> 0
-      | Syscall.Shut_wr -> 1
-      | Syscall.Shut_rdwr -> 2)
-  | Open (p, f) | Openat (p, f) ->
-    W.str w p;
-    w_open_flags w f
-  | Pipe2 { nonblock } -> W.bool w nonblock
-  | Socket (d, t) | Socketpair (d, t) ->
-    w_domain w d;
-    w_socktype w t
-  | Accept4 { fd; nonblock } ->
-    W.int w fd;
-    W.bool w nonblock
-  | Rename (a, b) | Renameat (a, b) | Link (a, b) | Linkat (a, b)
-  | Symlink (a, b) | Symlinkat (a, b) ->
-    W.str w a;
-    W.str w b
-  | Truncate (p, n) ->
-    W.str w p;
-    W.int w n
-  | Mmap { len; prot; kind } -> (
-    W.int w len;
-    w_prot w prot;
-    match kind with
-    | Syscall.Map_anon -> W.u8 w 0
-    | Syscall.Map_shared_anon -> W.u8 w 1
-    | Syscall.Map_file fd ->
-      W.u8 w 2;
-      W.int w fd)
-  | Mprotect { addr; len; prot } ->
-    W.i64 w addr;
-    W.int w len;
-    w_prot w prot
-  | Mremap { addr; old_len; new_len } ->
-    W.i64 w addr;
-    W.int w old_len;
-    W.int w new_len
-  | Kill (pid, sg) ->
-    W.int w pid;
-    W.int w sg
-  | Tgkill (pid, tid, sg) ->
-    W.int w pid;
-    W.int w tid;
-    W.int w sg
-  | Setrlimit (a, b) | Prlimit64 (a, b) ->
-    W.int w a;
-    W.int w b
-  | Rt_sigaction (sg, action) -> (
-    W.int w sg;
-    match action with
-    | Syscall.Sig_default -> W.u8 w 0
-    | Syscall.Sig_ignore -> W.u8 w 1
-    | Syscall.Sig_handler id ->
-      W.u8 w 2;
-      W.int w id)
-  | Rt_sigprocmask (how, sigs) ->
-    W.u8 w
-      (match how with
-      | Syscall.Sig_block -> 0
-      | Syscall.Sig_unblock -> 1
-      | Syscall.Sig_setmask -> 2);
-    w_list w W.int sigs
-  | Shmget { key; size; create } ->
-    W.int w key;
-    W.int w size;
-    W.bool w create
-  | Shmat { shmid; readonly } ->
-    W.int w shmid;
-    W.bool w readonly
-  | Shmdt { addr } -> W.i64 w addr
-  | Shmctl { shmid; rmid } ->
-    W.int w shmid;
-    W.bool w rmid
-  | Ipmon_register { calls; rb_addr; entry_addr } ->
-    w_list w (fun w s -> W.uint w (Sysno.index s)) calls;
-    W.i64 w rb_addr;
-    W.i64 w entry_addr
-
-let read_call r : Syscall.call =
-  let tag = R.uint r in
-  if tag >= Array.length sysno_of_index then corrupt "bad call tag";
-  let sysno =
-    match sysno_of_index.(tag) with
-    | Some s -> s
-    | None -> corrupt "bad call tag"
-  in
-  match sysno with
-  | Sysno.Gettimeofday -> Syscall.Gettimeofday
-  | Sysno.Clock_gettime -> (
-    match R.u8 r with
-    | 0 -> Syscall.Clock_gettime `Realtime
-    | 1 -> Syscall.Clock_gettime `Monotonic
-    | _ -> corrupt "bad clock id")
-  | Sysno.Time -> Syscall.Time
-  | Sysno.Getpid -> Syscall.Getpid
-  | Sysno.Gettid -> Syscall.Gettid
-  | Sysno.Getpgrp -> Syscall.Getpgrp
-  | Sysno.Getppid -> Syscall.Getppid
-  | Sysno.Getgid -> Syscall.Getgid
-  | Sysno.Getegid -> Syscall.Getegid
-  | Sysno.Getuid -> Syscall.Getuid
-  | Sysno.Geteuid -> Syscall.Geteuid
-  | Sysno.Getcwd -> Syscall.Getcwd
-  | Sysno.Getpriority -> Syscall.Getpriority
-  | Sysno.Getrusage -> Syscall.Getrusage
-  | Sysno.Times -> Syscall.Times
-  | Sysno.Capget -> Syscall.Capget
-  | Sysno.Getitimer -> Syscall.Getitimer
-  | Sysno.Sysinfo -> Syscall.Sysinfo
-  | Sysno.Uname -> Syscall.Uname
-  | Sysno.Sched_yield -> Syscall.Sched_yield
-  | Sysno.Nanosleep -> Syscall.Nanosleep (R.int r)
-  | Sysno.Getpgid -> Syscall.Getpgid
-  | Sysno.Getsid -> Syscall.Getsid
-  | Sysno.Getrlimit -> Syscall.Getrlimit (R.int r)
-  | Sysno.Sched_getaffinity -> Syscall.Sched_getaffinity
-  | Sysno.Clock_getres -> Syscall.Clock_getres
-  | Sysno.Getrandom -> Syscall.Getrandom (R.int r)
-  | Sysno.Futex -> (
-    match R.u8 r with
-    | 0 ->
-      let addr = R.i64 r in
-      let expected = R.int r in
-      let timeout_ns = r_opt_int r in
-      Syscall.Futex (Syscall.Futex_wait { addr; expected; timeout_ns })
-    | 1 ->
-      let addr = R.i64 r in
-      let count = R.int r in
-      Syscall.Futex (Syscall.Futex_wake { addr; count })
-    | _ -> corrupt "bad futex op")
+(* The fields that follow each call's [Sysno.index] tag. *)
+let call_case : Sysno.t -> Syscall.call case =
+  let open Syscall in
+  function
+  | Sysno.Gettimeofday -> const Gettimeofday
+  | Sysno.Clock_gettime ->
+    case clock (fun x -> Clock_gettime x)
+      (function Clock_gettime x -> x | c -> other c)
+  | Sysno.Time -> const Time
+  | Sysno.Getpid -> const Getpid
+  | Sysno.Gettid -> const Gettid
+  | Sysno.Getpgrp -> const Getpgrp
+  | Sysno.Getppid -> const Getppid
+  | Sysno.Getgid -> const Getgid
+  | Sysno.Getegid -> const Getegid
+  | Sysno.Getuid -> const Getuid
+  | Sysno.Geteuid -> const Geteuid
+  | Sysno.Getcwd -> const Getcwd
+  | Sysno.Getpriority -> const Getpriority
+  | Sysno.Getrusage -> const Getrusage
+  | Sysno.Times -> const Times
+  | Sysno.Capget -> const Capget
+  | Sysno.Getitimer -> const Getitimer
+  | Sysno.Sysinfo -> const Sysinfo
+  | Sysno.Uname -> const Uname
+  | Sysno.Sched_yield -> const Sched_yield
+  | Sysno.Nanosleep ->
+    case int (fun x -> Nanosleep x) (function Nanosleep x -> x | c -> other c)
+  | Sysno.Getpgid -> const Getpgid
+  | Sysno.Getsid -> const Getsid
+  | Sysno.Getrlimit ->
+    case int (fun x -> Getrlimit x) (function Getrlimit x -> x | c -> other c)
+  | Sysno.Sched_getaffinity -> const Sched_getaffinity
+  | Sysno.Clock_getres -> const Clock_getres
+  | Sysno.Getrandom ->
+    case int (fun x -> Getrandom x) (function Getrandom x -> x | c -> other c)
+  | Sysno.Futex ->
+    case futex_op (fun x -> Futex x) (function Futex x -> x | c -> other c)
   | Sysno.Ioctl ->
-    let fd = R.int r in
-    Syscall.Ioctl
-      ( fd,
-        match R.u8 r with
-        | 0 -> Syscall.Fionread
-        | 1 -> Syscall.Fionbio (R.bool r)
-        | 2 -> Syscall.Tiocgwinsz
-        | _ -> corrupt "bad ioctl op" )
+    case (pair int ioctl_op) (fun (x, y) -> Ioctl (x, y))
+      (function Ioctl (x, y) -> (x, y) | c -> other c)
   | Sysno.Fcntl ->
-    let fd = R.int r in
-    Syscall.Fcntl
-      ( fd,
-        match R.u8 r with
-        | 0 -> Syscall.F_getfl
-        | 1 -> Syscall.F_setfl { nonblock = R.bool r }
-        | 2 -> Syscall.F_dupfd (R.int r)
-        | _ -> corrupt "bad fcntl op" )
-  | Sysno.Access -> Syscall.Access (R.str r)
-  | Sysno.Faccessat -> Syscall.Faccessat (R.str r)
+    case (pair int fcntl_op) (fun (x, y) -> Fcntl (x, y))
+      (function Fcntl (x, y) -> (x, y) | c -> other c)
+  | Sysno.Access ->
+    case str (fun x -> Access x) (function Access x -> x | c -> other c)
+  | Sysno.Faccessat ->
+    case str (fun x -> Faccessat x) (function Faccessat x -> x | c -> other c)
   | Sysno.Lseek ->
-    let fd = R.int r in
-    let off = R.int r in
-    Syscall.Lseek (fd, off, r_whence r)
-  | Sysno.Stat -> Syscall.Stat (R.str r)
-  | Sysno.Lstat -> Syscall.Lstat (R.str r)
-  | Sysno.Fstat -> Syscall.Fstat (R.int r)
-  | Sysno.Fstatat -> Syscall.Fstatat (R.str r)
-  | Sysno.Getdents -> Syscall.Getdents (R.int r)
-  | Sysno.Readlink -> Syscall.Readlink (R.str r)
-  | Sysno.Readlinkat -> Syscall.Readlinkat (R.str r)
+    case (triple int int whence) (fun (x, y, z) -> Lseek (x, y, z))
+      (function Lseek (x, y, z) -> (x, y, z) | c -> other c)
+  | Sysno.Stat ->
+    case str (fun x -> Stat x) (function Stat x -> x | c -> other c)
+  | Sysno.Lstat ->
+    case str (fun x -> Lstat x) (function Lstat x -> x | c -> other c)
+  | Sysno.Fstat ->
+    case int (fun x -> Fstat x) (function Fstat x -> x | c -> other c)
+  | Sysno.Fstatat ->
+    case str (fun x -> Fstatat x) (function Fstatat x -> x | c -> other c)
+  | Sysno.Getdents ->
+    case int (fun x -> Getdents x) (function Getdents x -> x | c -> other c)
+  | Sysno.Readlink ->
+    case str (fun x -> Readlink x) (function Readlink x -> x | c -> other c)
+  | Sysno.Readlinkat ->
+    case str (fun x -> Readlinkat x) (function Readlinkat x -> x | c -> other c)
   | Sysno.Getxattr ->
-    let p = R.str r in
-    Syscall.Getxattr (p, R.str r)
+    case (pair str str) (fun (x, y) -> Getxattr (x, y))
+      (function Getxattr (x, y) -> (x, y) | c -> other c)
   | Sysno.Lgetxattr ->
-    let p = R.str r in
-    Syscall.Lgetxattr (p, R.str r)
+    case (pair str str) (fun (x, y) -> Lgetxattr (x, y))
+      (function Lgetxattr (x, y) -> (x, y) | c -> other c)
   | Sysno.Fgetxattr ->
-    let fd = R.int r in
-    Syscall.Fgetxattr (fd, R.str r)
-  | Sysno.Alarm -> Syscall.Alarm (R.int r)
-  | Sysno.Setitimer -> Syscall.Setitimer (r_itimer r)
-  | Sysno.Timerfd_gettime -> Syscall.Timerfd_gettime (R.int r)
+    case (pair int str) (fun (x, y) -> Fgetxattr (x, y))
+      (function Fgetxattr (x, y) -> (x, y) | c -> other c)
+  | Sysno.Alarm ->
+    case int (fun x -> Alarm x) (function Alarm x -> x | c -> other c)
+  | Sysno.Setitimer ->
+    case itimer (fun x -> Setitimer x)
+      (function Setitimer x -> x | c -> other c)
+  | Sysno.Timerfd_gettime ->
+    case int (fun x -> Timerfd_gettime x)
+      (function Timerfd_gettime x -> x | c -> other c)
   | Sysno.Madvise ->
-    let addr = R.i64 r in
-    Syscall.Madvise { addr; len = R.int r }
-  | Sysno.Fadvise64 -> Syscall.Fadvise64 (R.int r)
-  | Sysno.Statfs -> Syscall.Statfs (R.str r)
-  | Sysno.Fstatfs -> Syscall.Fstatfs (R.int r)
-  | Sysno.Getdents64 -> Syscall.Getdents64 (R.int r)
-  | Sysno.Readahead -> Syscall.Readahead (R.int r)
+    case (pair i64 int) (fun (addr, len) -> Madvise { addr; len })
+      (function Madvise { addr; len } -> (addr, len) | c -> other c)
+  | Sysno.Fadvise64 ->
+    case int (fun x -> Fadvise64 x) (function Fadvise64 x -> x | c -> other c)
+  | Sysno.Statfs ->
+    case str (fun x -> Statfs x) (function Statfs x -> x | c -> other c)
+  | Sysno.Fstatfs ->
+    case int (fun x -> Fstatfs x) (function Fstatfs x -> x | c -> other c)
+  | Sysno.Getdents64 ->
+    case int (fun x -> Getdents64 x) (function Getdents64 x -> x | c -> other c)
+  | Sysno.Readahead ->
+    case int (fun x -> Readahead x) (function Readahead x -> x | c -> other c)
   | Sysno.Mincore ->
-    let addr = R.i64 r in
-    Syscall.Mincore { addr; len = R.int r }
+    case (pair i64 int) (fun (addr, len) -> Mincore { addr; len })
+      (function Mincore { addr; len } -> (addr, len) | c -> other c)
   | Sysno.Read ->
-    let fd = R.int r in
-    Syscall.Read (fd, R.int r)
+    case (pair int int) (fun (x, y) -> Read (x, y))
+      (function Read (x, y) -> (x, y) | c -> other c)
   | Sysno.Readv ->
-    let fd = R.int r in
-    Syscall.Readv (fd, r_list r R.int)
+    case (pair int ints) (fun (x, y) -> Readv (x, y))
+      (function Readv (x, y) -> (x, y) | c -> other c)
   | Sysno.Pread64 ->
-    let fd = R.int r in
-    let n = R.int r in
-    Syscall.Pread64 (fd, n, R.int r)
+    case (triple int int int) (fun (x, y, z) -> Pread64 (x, y, z))
+      (function Pread64 (x, y, z) -> (x, y, z) | c -> other c)
   | Sysno.Preadv ->
-    let fd = R.int r in
-    let lens = r_list r R.int in
-    Syscall.Preadv (fd, lens, R.int r)
+    case (triple int ints int) (fun (x, y, z) -> Preadv (x, y, z))
+      (function Preadv (x, y, z) -> (x, y, z) | c -> other c)
   | Sysno.Select ->
-    let readfds = r_list r R.int in
-    let writefds = r_list r R.int in
-    Syscall.Select { readfds; writefds; timeout_ns = r_opt_int r }
+    case (triple ints ints timeout)
+      (fun (readfds, writefds, timeout_ns) ->
+        Select { readfds; writefds; timeout_ns })
+      (function
+        | Select { readfds; writefds; timeout_ns } ->
+          (readfds, writefds, timeout_ns)
+        | c -> other c)
   | Sysno.Poll ->
-    let fds = r_list r r_pollfd in
-    Syscall.Poll { fds; timeout_ns = r_opt_int r }
+    case (pair pollfds timeout)
+      (fun (fds, timeout_ns) -> Poll { fds; timeout_ns })
+      (function Poll { fds; timeout_ns } -> (fds, timeout_ns) | c -> other c)
   | Sysno.Pselect6 ->
-    let readfds = r_list r R.int in
-    let writefds = r_list r R.int in
-    Syscall.Pselect6 { readfds; writefds; timeout_ns = r_opt_int r }
+    case (triple ints ints timeout)
+      (fun (readfds, writefds, timeout_ns) ->
+        Pselect6 { readfds; writefds; timeout_ns })
+      (function
+        | Pselect6 { readfds; writefds; timeout_ns } ->
+          (readfds, writefds, timeout_ns)
+        | c -> other c)
   | Sysno.Ppoll ->
-    let fds = r_list r r_pollfd in
-    Syscall.Ppoll { fds; timeout_ns = r_opt_int r }
-  | Sysno.Sync -> Syscall.Sync
-  | Sysno.Syncfs -> Syscall.Syncfs (R.int r)
-  | Sysno.Fsync -> Syscall.Fsync (R.int r)
-  | Sysno.Fdatasync -> Syscall.Fdatasync (R.int r)
+    case (pair pollfds timeout)
+      (fun (fds, timeout_ns) -> Ppoll { fds; timeout_ns })
+      (function Ppoll { fds; timeout_ns } -> (fds, timeout_ns) | c -> other c)
+  | Sysno.Sync -> const Sync
+  | Sysno.Syncfs ->
+    case int (fun x -> Syncfs x) (function Syncfs x -> x | c -> other c)
+  | Sysno.Fsync ->
+    case int (fun x -> Fsync x) (function Fsync x -> x | c -> other c)
+  | Sysno.Fdatasync ->
+    case int (fun x -> Fdatasync x) (function Fdatasync x -> x | c -> other c)
   | Sysno.Timerfd_settime ->
-    let fd = R.int r in
-    Syscall.Timerfd_settime (fd, r_itimer r)
+    case (pair int itimer) (fun (x, y) -> Timerfd_settime (x, y))
+      (function Timerfd_settime (x, y) -> (x, y) | c -> other c)
   | Sysno.Msync ->
-    let addr = R.i64 r in
-    Syscall.Msync { addr; len = R.int r }
+    case (pair i64 int) (fun (addr, len) -> Msync { addr; len })
+      (function Msync { addr; len } -> (addr, len) | c -> other c)
   | Sysno.Flock ->
-    let fd = R.int r in
-    Syscall.Flock
-      ( fd,
-        match R.u8 r with
-        | 0 -> Syscall.Lock_sh
-        | 1 -> Syscall.Lock_ex
-        | 2 -> Syscall.Lock_un
-        | _ -> corrupt "bad flock op" )
+    case (pair int flock_op) (fun (x, y) -> Flock (x, y))
+      (function Flock (x, y) -> (x, y) | c -> other c)
   | Sysno.Chmod ->
-    let p = R.str r in
-    Syscall.Chmod (p, R.int r)
+    case (pair str int) (fun (x, y) -> Chmod (x, y))
+      (function Chmod (x, y) -> (x, y) | c -> other c)
   | Sysno.Fchmod ->
-    let fd = R.int r in
-    Syscall.Fchmod (fd, R.int r)
+    case (pair int int) (fun (x, y) -> Fchmod (x, y))
+      (function Fchmod (x, y) -> (x, y) | c -> other c)
   | Sysno.Chown ->
-    let p = R.str r in
-    let u = R.int r in
-    Syscall.Chown (p, u, R.int r)
-  | Sysno.Utimensat -> Syscall.Utimensat (R.str r)
+    case (triple str int int) (fun (x, y, z) -> Chown (x, y, z))
+      (function Chown (x, y, z) -> (x, y, z) | c -> other c)
+  | Sysno.Utimensat ->
+    case str (fun x -> Utimensat x) (function Utimensat x -> x | c -> other c)
   | Sysno.Write ->
-    let fd = R.int r in
-    Syscall.Write (fd, R.str r)
+    case (pair int str) (fun (x, y) -> Write (x, y))
+      (function Write (x, y) -> (x, y) | c -> other c)
   | Sysno.Writev ->
-    let fd = R.int r in
-    Syscall.Writev (fd, r_list r R.str)
+    case (pair int strs) (fun (x, y) -> Writev (x, y))
+      (function Writev (x, y) -> (x, y) | c -> other c)
   | Sysno.Pwrite64 ->
-    let fd = R.int r in
-    let s = R.str r in
-    Syscall.Pwrite64 (fd, s, R.int r)
+    case (triple int str int) (fun (x, y, z) -> Pwrite64 (x, y, z))
+      (function Pwrite64 (x, y, z) -> (x, y, z) | c -> other c)
   | Sysno.Pwritev ->
-    let fd = R.int r in
-    let ss = r_list r R.str in
-    Syscall.Pwritev (fd, ss, R.int r)
+    case (triple int strs int) (fun (x, y, z) -> Pwritev (x, y, z))
+      (function Pwritev (x, y, z) -> (x, y, z) | c -> other c)
   | Sysno.Epoll_wait ->
-    let epfd = R.int r in
-    let max_events = R.int r in
-    Syscall.Epoll_wait { epfd; max_events; timeout_ns = r_opt_int r }
+    case (triple int int timeout)
+      (fun (epfd, max_events, timeout_ns) ->
+        Epoll_wait { epfd; max_events; timeout_ns })
+      (function
+        | Epoll_wait { epfd; max_events; timeout_ns } ->
+          (epfd, max_events, timeout_ns)
+        | c -> other c)
   | Sysno.Recvfrom ->
-    let fd = R.int r in
-    Syscall.Recvfrom (fd, R.int r)
+    case (pair int int) (fun (x, y) -> Recvfrom (x, y))
+      (function Recvfrom (x, y) -> (x, y) | c -> other c)
   | Sysno.Recvmsg ->
-    let fd = R.int r in
-    Syscall.Recvmsg (fd, R.int r)
+    case (pair int int) (fun (x, y) -> Recvmsg (x, y))
+      (function Recvmsg (x, y) -> (x, y) | c -> other c)
   | Sysno.Recvmmsg ->
-    let fd = R.int r in
-    let msgs = R.int r in
-    Syscall.Recvmmsg (fd, msgs, R.int r)
-  | Sysno.Getsockname -> Syscall.Getsockname (R.int r)
-  | Sysno.Getpeername -> Syscall.Getpeername (R.int r)
+    case (triple int int int) (fun (x, y, z) -> Recvmmsg (x, y, z))
+      (function Recvmmsg (x, y, z) -> (x, y, z) | c -> other c)
+  | Sysno.Getsockname ->
+    case int (fun x -> Getsockname x)
+      (function Getsockname x -> x | c -> other c)
+  | Sysno.Getpeername ->
+    case int (fun x -> Getpeername x)
+      (function Getpeername x -> x | c -> other c)
   | Sysno.Getsockopt ->
-    let fd = R.int r in
-    Syscall.Getsockopt (fd, R.int r)
+    case (pair int int) (fun (x, y) -> Getsockopt (x, y))
+      (function Getsockopt (x, y) -> (x, y) | c -> other c)
   | Sysno.Sendto ->
-    let fd = R.int r in
-    Syscall.Sendto (fd, R.str r)
+    case (pair int str) (fun (x, y) -> Sendto (x, y))
+      (function Sendto (x, y) -> (x, y) | c -> other c)
   | Sysno.Sendmsg ->
-    let fd = R.int r in
-    Syscall.Sendmsg (fd, R.str r)
+    case (pair int str) (fun (x, y) -> Sendmsg (x, y))
+      (function Sendmsg (x, y) -> (x, y) | c -> other c)
   | Sysno.Sendmmsg ->
-    let fd = R.int r in
-    Syscall.Sendmmsg (fd, r_list r R.str)
+    case (pair int strs) (fun (x, y) -> Sendmmsg (x, y))
+      (function Sendmmsg (x, y) -> (x, y) | c -> other c)
   | Sysno.Sendfile ->
-    let out_fd = R.int r in
-    let in_fd = R.int r in
-    Syscall.Sendfile { out_fd; in_fd; count = R.int r }
+    case (triple int int int)
+      (fun (out_fd, in_fd, count) -> Sendfile { out_fd; in_fd; count })
+      (function
+        | Sendfile { out_fd; in_fd; count } -> (out_fd, in_fd, count)
+        | c -> other c)
   | Sysno.Epoll_ctl ->
-    let epfd = R.int r in
-    let op =
-      match R.u8 r with
-      | 0 -> Syscall.Epoll_add
-      | 1 -> Syscall.Epoll_mod
-      | 2 -> Syscall.Epoll_del
-      | _ -> corrupt "bad epoll op"
-    in
-    let fd = R.int r in
-    let events = r_events r in
-    Syscall.Epoll_ctl { epfd; op; fd; events; user_data = R.i64 r }
+    case
+      (pair (triple int epoll_op int) (pair events i64))
+      (fun ((epfd, op, fd), (events, user_data)) ->
+        Epoll_ctl { epfd; op; fd; events; user_data })
+      (function
+        | Epoll_ctl { epfd; op; fd; events; user_data } ->
+          ((epfd, op, fd), (events, user_data))
+        | c -> other c)
   | Sysno.Setsockopt ->
-    let fd = R.int r in
-    let o = R.int r in
-    Syscall.Setsockopt (fd, o, R.int r)
+    case (triple int int int) (fun (x, y, z) -> Setsockopt (x, y, z))
+      (function Setsockopt (x, y, z) -> (x, y, z) | c -> other c)
   | Sysno.Shutdown ->
-    let fd = R.int r in
-    Syscall.Shutdown
-      ( fd,
-        match R.u8 r with
-        | 0 -> Syscall.Shut_rd
-        | 1 -> Syscall.Shut_wr
-        | 2 -> Syscall.Shut_rdwr
-        | _ -> corrupt "bad shutdown how" )
+    case (pair int shutdown_how) (fun (x, y) -> Shutdown (x, y))
+      (function Shutdown (x, y) -> (x, y) | c -> other c)
   | Sysno.Open ->
-    let p = R.str r in
-    Syscall.Open (p, r_open_flags r)
+    case (pair str open_flags) (fun (x, y) -> Open (x, y))
+      (function Open (x, y) -> (x, y) | c -> other c)
   | Sysno.Openat ->
-    let p = R.str r in
-    Syscall.Openat (p, r_open_flags r)
-  | Sysno.Creat -> Syscall.Creat (R.str r)
-  | Sysno.Close -> Syscall.Close (R.int r)
-  | Sysno.Dup -> Syscall.Dup (R.int r)
+    case (pair str open_flags) (fun (x, y) -> Openat (x, y))
+      (function Openat (x, y) -> (x, y) | c -> other c)
+  | Sysno.Creat ->
+    case str (fun x -> Creat x) (function Creat x -> x | c -> other c)
+  | Sysno.Close ->
+    case int (fun x -> Close x) (function Close x -> x | c -> other c)
+  | Sysno.Dup -> case int (fun x -> Dup x) (function Dup x -> x | c -> other c)
   | Sysno.Dup2 ->
-    let a = R.int r in
-    Syscall.Dup2 (a, R.int r)
+    case (pair int int) (fun (x, y) -> Dup2 (x, y))
+      (function Dup2 (x, y) -> (x, y) | c -> other c)
   | Sysno.Dup3 ->
-    let a = R.int r in
-    Syscall.Dup3 (a, R.int r)
-  | Sysno.Pipe2 -> Syscall.Pipe2 { nonblock = R.bool r }
-  | Sysno.Eventfd -> Syscall.Eventfd (R.int r)
-  | Sysno.Pipe -> Syscall.Pipe
+    case (pair int int) (fun (x, y) -> Dup3 (x, y))
+      (function Dup3 (x, y) -> (x, y) | c -> other c)
+  | Sysno.Pipe2 ->
+    case bool (fun nonblock -> Pipe2 { nonblock })
+      (function Pipe2 { nonblock } -> nonblock | c -> other c)
+  | Sysno.Eventfd ->
+    case int (fun x -> Eventfd x) (function Eventfd x -> x | c -> other c)
+  | Sysno.Pipe -> const Pipe
   | Sysno.Socket ->
-    let d = r_domain r in
-    Syscall.Socket (d, r_socktype r)
+    case (pair domain socktype) (fun (x, y) -> Socket (x, y))
+      (function Socket (x, y) -> (x, y) | c -> other c)
   | Sysno.Socketpair ->
-    let d = r_domain r in
-    Syscall.Socketpair (d, r_socktype r)
+    case (pair domain socktype) (fun (x, y) -> Socketpair (x, y))
+      (function Socketpair (x, y) -> (x, y) | c -> other c)
   | Sysno.Bind ->
-    let fd = R.int r in
-    Syscall.Bind (fd, R.int r)
+    case (pair int int) (fun (x, y) -> Bind (x, y))
+      (function Bind (x, y) -> (x, y) | c -> other c)
   | Sysno.Listen ->
-    let fd = R.int r in
-    Syscall.Listen (fd, R.int r)
-  | Sysno.Accept -> Syscall.Accept (R.int r)
+    case (pair int int) (fun (x, y) -> Listen (x, y))
+      (function Listen (x, y) -> (x, y) | c -> other c)
+  | Sysno.Accept ->
+    case int (fun x -> Accept x) (function Accept x -> x | c -> other c)
   | Sysno.Accept4 ->
-    let fd = R.int r in
-    Syscall.Accept4 { fd; nonblock = R.bool r }
+    case (pair int bool) (fun (fd, nonblock) -> Accept4 { fd; nonblock })
+      (function Accept4 { fd; nonblock } -> (fd, nonblock) | c -> other c)
   | Sysno.Connect ->
-    let fd = R.int r in
-    Syscall.Connect (fd, R.int r)
-  | Sysno.Epoll_create -> Syscall.Epoll_create
-  | Sysno.Timerfd_create -> Syscall.Timerfd_create
-  | Sysno.Unlink -> Syscall.Unlink (R.str r)
+    case (pair int int) (fun (x, y) -> Connect (x, y))
+      (function Connect (x, y) -> (x, y) | c -> other c)
+  | Sysno.Epoll_create -> const Epoll_create
+  | Sysno.Timerfd_create -> const Timerfd_create
+  | Sysno.Unlink ->
+    case str (fun x -> Unlink x) (function Unlink x -> x | c -> other c)
   | Sysno.Rename ->
-    let a = R.str r in
-    Syscall.Rename (a, R.str r)
-  | Sysno.Mkdir -> Syscall.Mkdir (R.str r)
-  | Sysno.Rmdir -> Syscall.Rmdir (R.str r)
+    case (pair str str) (fun (x, y) -> Rename (x, y))
+      (function Rename (x, y) -> (x, y) | c -> other c)
+  | Sysno.Mkdir ->
+    case str (fun x -> Mkdir x) (function Mkdir x -> x | c -> other c)
+  | Sysno.Rmdir ->
+    case str (fun x -> Rmdir x) (function Rmdir x -> x | c -> other c)
   | Sysno.Truncate ->
-    let p = R.str r in
-    Syscall.Truncate (p, R.int r)
+    case (pair str int) (fun (x, y) -> Truncate (x, y))
+      (function Truncate (x, y) -> (x, y) | c -> other c)
   | Sysno.Ftruncate ->
-    let fd = R.int r in
-    Syscall.Ftruncate (fd, R.int r)
-  | Sysno.Mkdirat -> Syscall.Mkdirat (R.str r)
-  | Sysno.Unlinkat -> Syscall.Unlinkat (R.str r)
+    case (pair int int) (fun (x, y) -> Ftruncate (x, y))
+      (function Ftruncate (x, y) -> (x, y) | c -> other c)
+  | Sysno.Mkdirat ->
+    case str (fun x -> Mkdirat x) (function Mkdirat x -> x | c -> other c)
+  | Sysno.Unlinkat ->
+    case str (fun x -> Unlinkat x) (function Unlinkat x -> x | c -> other c)
   | Sysno.Renameat ->
-    let a = R.str r in
-    Syscall.Renameat (a, R.str r)
+    case (pair str str) (fun (x, y) -> Renameat (x, y))
+      (function Renameat (x, y) -> (x, y) | c -> other c)
   | Sysno.Link ->
-    let a = R.str r in
-    Syscall.Link (a, R.str r)
+    case (pair str str) (fun (x, y) -> Link (x, y))
+      (function Link (x, y) -> (x, y) | c -> other c)
   | Sysno.Linkat ->
-    let a = R.str r in
-    Syscall.Linkat (a, R.str r)
+    case (pair str str) (fun (x, y) -> Linkat (x, y))
+      (function Linkat (x, y) -> (x, y) | c -> other c)
   | Sysno.Symlink ->
-    let a = R.str r in
-    Syscall.Symlink (a, R.str r)
+    case (pair str str) (fun (x, y) -> Symlink (x, y))
+      (function Symlink (x, y) -> (x, y) | c -> other c)
   | Sysno.Symlinkat ->
-    let a = R.str r in
-    Syscall.Symlinkat (a, R.str r)
-  | Sysno.Umask -> Syscall.Umask (R.int r)
+    case (pair str str) (fun (x, y) -> Symlinkat (x, y))
+      (function Symlinkat (x, y) -> (x, y) | c -> other c)
+  | Sysno.Umask ->
+    case int (fun x -> Umask x) (function Umask x -> x | c -> other c)
   | Sysno.Mmap ->
-    let len = R.int r in
-    let prot = r_prot r in
-    let kind =
-      match R.u8 r with
-      | 0 -> Syscall.Map_anon
-      | 1 -> Syscall.Map_shared_anon
-      | 2 -> Syscall.Map_file (R.int r)
-      | _ -> corrupt "bad map kind"
-    in
-    Syscall.Mmap { len; prot; kind }
+    case (triple int prot map_kind)
+      (fun (len, prot, kind) -> Mmap { len; prot; kind })
+      (function Mmap { len; prot; kind } -> (len, prot, kind) | c -> other c)
   | Sysno.Munmap ->
-    let addr = R.i64 r in
-    Syscall.Munmap { addr; len = R.int r }
+    case (pair i64 int) (fun (addr, len) -> Munmap { addr; len })
+      (function Munmap { addr; len } -> (addr, len) | c -> other c)
   | Sysno.Mprotect ->
-    let addr = R.i64 r in
-    let len = R.int r in
-    Syscall.Mprotect { addr; len; prot = r_prot r }
+    case (triple i64 int prot)
+      (fun (addr, len, prot) -> Mprotect { addr; len; prot })
+      (function
+        | Mprotect { addr; len; prot } -> (addr, len, prot)
+        | c -> other c)
   | Sysno.Mremap ->
-    let addr = R.i64 r in
-    let old_len = R.int r in
-    Syscall.Mremap { addr; old_len; new_len = R.int r }
-  | Sysno.Brk -> Syscall.Brk (R.int r)
+    case (triple i64 int int)
+      (fun (addr, old_len, new_len) -> Mremap { addr; old_len; new_len })
+      (function
+        | Mremap { addr; old_len; new_len } -> (addr, old_len, new_len)
+        | c -> other c)
+  | Sysno.Brk -> case int (fun x -> Brk x) (function Brk x -> x | c -> other c)
   | Sysno.Mlock ->
-    let addr = R.i64 r in
-    Syscall.Mlock { addr; len = R.int r }
+    case (pair i64 int) (fun (addr, len) -> Mlock { addr; len })
+      (function Mlock { addr; len } -> (addr, len) | c -> other c)
   | Sysno.Munlock ->
-    let addr = R.i64 r in
-    Syscall.Munlock { addr; len = R.int r }
-  | Sysno.Clone -> Syscall.Clone (R.int r)
-  | Sysno.Fork -> Syscall.Fork
-  | Sysno.Execve -> Syscall.Execve (R.str r)
-  | Sysno.Exit -> Syscall.Exit (R.int r)
-  | Sysno.Exit_group -> Syscall.Exit_group (R.int r)
-  | Sysno.Wait4 -> Syscall.Wait4 (R.int r)
+    case (pair i64 int) (fun (addr, len) -> Munlock { addr; len })
+      (function Munlock { addr; len } -> (addr, len) | c -> other c)
+  | Sysno.Clone ->
+    case int (fun x -> Clone x) (function Clone x -> x | c -> other c)
+  | Sysno.Fork -> const Fork
+  | Sysno.Execve ->
+    case str (fun x -> Execve x) (function Execve x -> x | c -> other c)
+  | Sysno.Exit ->
+    case int (fun x -> Exit x) (function Exit x -> x | c -> other c)
+  | Sysno.Exit_group ->
+    case int (fun x -> Exit_group x) (function Exit_group x -> x | c -> other c)
+  | Sysno.Wait4 ->
+    case int (fun x -> Wait4 x) (function Wait4 x -> x | c -> other c)
   | Sysno.Kill ->
-    let pid = R.int r in
-    Syscall.Kill (pid, R.int r)
+    case (pair int int) (fun (x, y) -> Kill (x, y))
+      (function Kill (x, y) -> (x, y) | c -> other c)
   | Sysno.Tgkill ->
-    let pid = R.int r in
-    let tid = R.int r in
-    Syscall.Tgkill (pid, tid, R.int r)
+    case (triple int int int) (fun (x, y, z) -> Tgkill (x, y, z))
+      (function Tgkill (x, y, z) -> (x, y, z) | c -> other c)
   | Sysno.Setrlimit ->
-    let a = R.int r in
-    Syscall.Setrlimit (a, R.int r)
+    case (pair int int) (fun (x, y) -> Setrlimit (x, y))
+      (function Setrlimit (x, y) -> (x, y) | c -> other c)
   | Sysno.Prlimit64 ->
-    let a = R.int r in
-    Syscall.Prlimit64 (a, R.int r)
-  | Sysno.Sched_setaffinity -> Syscall.Sched_setaffinity (R.int r)
-  | Sysno.Setsid -> Syscall.Setsid
+    case (pair int int) (fun (x, y) -> Prlimit64 (x, y))
+      (function Prlimit64 (x, y) -> (x, y) | c -> other c)
+  | Sysno.Sched_setaffinity ->
+    case int (fun x -> Sched_setaffinity x)
+      (function Sched_setaffinity x -> x | c -> other c)
+  | Sysno.Setsid -> const Setsid
   | Sysno.Rt_sigaction ->
-    let sg = R.int r in
-    Syscall.Rt_sigaction
-      ( sg,
-        match R.u8 r with
-        | 0 -> Syscall.Sig_default
-        | 1 -> Syscall.Sig_ignore
-        | 2 -> Syscall.Sig_handler (R.int r)
-        | _ -> corrupt "bad sigaction" )
+    case (pair int sig_action) (fun (x, y) -> Rt_sigaction (x, y))
+      (function Rt_sigaction (x, y) -> (x, y) | c -> other c)
   | Sysno.Rt_sigprocmask ->
-    let how =
-      match R.u8 r with
-      | 0 -> Syscall.Sig_block
-      | 1 -> Syscall.Sig_unblock
-      | 2 -> Syscall.Sig_setmask
-      | _ -> corrupt "bad sigmask how"
-    in
-    Syscall.Rt_sigprocmask (how, r_list r R.int)
-  | Sysno.Rt_sigreturn -> Syscall.Rt_sigreturn
-  | Sysno.Sigaltstack -> Syscall.Sigaltstack
-  | Sysno.Pause -> Syscall.Pause
+    case (pair sigmask_how ints) (fun (x, y) -> Rt_sigprocmask (x, y))
+      (function Rt_sigprocmask (x, y) -> (x, y) | c -> other c)
+  | Sysno.Rt_sigreturn -> const Rt_sigreturn
+  | Sysno.Sigaltstack -> const Sigaltstack
+  | Sysno.Pause -> const Pause
   | Sysno.Shmget ->
-    let key = R.int r in
-    let size = R.int r in
-    Syscall.Shmget { key; size; create = R.bool r }
+    case (triple int int bool)
+      (fun (key, size, create) -> Shmget { key; size; create })
+      (function
+        | Shmget { key; size; create } -> (key, size, create)
+        | c -> other c)
   | Sysno.Shmat ->
-    let shmid = R.int r in
-    Syscall.Shmat { shmid; readonly = R.bool r }
-  | Sysno.Shmdt -> Syscall.Shmdt { addr = R.i64 r }
+    case (pair int bool) (fun (shmid, readonly) -> Shmat { shmid; readonly })
+      (function Shmat { shmid; readonly } -> (shmid, readonly) | c -> other c)
+  | Sysno.Shmdt ->
+    case i64 (fun addr -> Shmdt { addr })
+      (function Shmdt { addr } -> addr | c -> other c)
   | Sysno.Shmctl ->
-    let shmid = R.int r in
-    Syscall.Shmctl { shmid; rmid = R.bool r }
+    case (pair int bool) (fun (shmid, rmid) -> Shmctl { shmid; rmid })
+      (function Shmctl { shmid; rmid } -> (shmid, rmid) | c -> other c)
   | Sysno.Ipmon_register ->
-    let calls = r_list r r_sysno in
-    let rb_addr = R.i64 r in
-    Syscall.Ipmon_register { calls; rb_addr; entry_addr = R.i64 r }
+    case (triple (list sysno) i64 i64)
+      (fun (calls, rb_addr, entry_addr) ->
+        Ipmon_register { calls; rb_addr; entry_addr })
+      (function
+        | Ipmon_register { calls; rb_addr; entry_addr } ->
+          (calls, rb_addr, entry_addr)
+        | c -> other c)
+
+let call =
+  tagged uint "call tag"
+    (fun c -> Sysno.index (Syscall.number c))
+    (Array.init Sysno.slots (fun i ->
+         call_case (Option.get (Sysno.of_index i))))
+
+let write_call = call.write
+let read_call = call.read
 
 (* ------------------------------------------------------------------ *)
 (* Results *)
 
-let write_result w (res : Syscall.result) =
-  match res with
-  | Syscall.Ok_unit -> W.u8 w 0
-  | Syscall.Ok_int n ->
-    W.u8 w 1;
-    W.int w n
-  | Syscall.Ok_int64 v ->
-    W.u8 w 2;
-    W.i64 w v
-  | Syscall.Ok_data s ->
-    W.u8 w 3;
-    W.str w s
-  | Syscall.Ok_str s ->
-    W.u8 w 4;
-    W.str w s
-  | Syscall.Ok_stat st ->
-    W.u8 w 5;
-    W.int w st.Syscall.st_ino;
-    W.int w st.Syscall.st_size;
-    W.u8 w
-      (match st.Syscall.st_kind with
-      | `Reg -> 0
-      | `Dir -> 1
-      | `Fifo -> 2
-      | `Sock -> 3
-      | `Special -> 4);
-    W.int w st.Syscall.st_mtime_ns
-  | Syscall.Ok_pair (a, b) ->
-    W.u8 w 6;
-    W.int w a;
-    W.int w b
-  | Syscall.Ok_poll l ->
-    W.u8 w 7;
-    w_list w w_pollfd l
-  | Syscall.Ok_epoll l ->
-    W.u8 w 8;
-    w_list w
-      (fun w (ud, e) ->
-        W.i64 w ud;
-        w_events w e)
-      l
-  | Syscall.Ok_accept { conn_fd; peer_port } ->
-    W.u8 w 9;
-    W.int w conn_fd;
-    W.int w peer_port
-  | Syscall.Ok_dents l ->
-    W.u8 w 10;
-    w_list w W.str l
-  | Syscall.Ok_itimer s ->
-    W.u8 w 11;
-    w_itimer w s
-  | Syscall.Error e ->
-    W.u8 w 12;
-    write_errno w e
+let result =
+  let open Syscall in
+  sum "result tag"
+    (function
+      | Ok_unit -> 0
+      | Ok_int _ -> 1
+      | Ok_int64 _ -> 2
+      | Ok_data _ -> 3
+      | Ok_str _ -> 4
+      | Ok_stat _ -> 5
+      | Ok_pair _ -> 6
+      | Ok_poll _ -> 7
+      | Ok_epoll _ -> 8
+      | Ok_accept _ -> 9
+      | Ok_dents _ -> 10
+      | Ok_itimer _ -> 11
+      | Error _ -> 12)
+    [|
+      const Ok_unit;
+      case int (fun n -> Ok_int n) (function Ok_int n -> n | r -> other r);
+      case i64 (fun v -> Ok_int64 v) (function Ok_int64 v -> v | r -> other r);
+      case str (fun s -> Ok_data s) (function Ok_data s -> s | r -> other r);
+      case str (fun s -> Ok_str s) (function Ok_str s -> s | r -> other r);
+      case stat (fun s -> Ok_stat s) (function Ok_stat s -> s | r -> other r);
+      case (pair int int) (fun (a, b) -> Ok_pair (a, b))
+        (function Ok_pair (a, b) -> (a, b) | r -> other r);
+      case pollfds (fun l -> Ok_poll l)
+        (function Ok_poll l -> l | r -> other r);
+      case (list (pair i64 events)) (fun l -> Ok_epoll l)
+        (function Ok_epoll l -> l | r -> other r);
+      case (pair int int)
+        (fun (conn_fd, peer_port) -> Ok_accept { conn_fd; peer_port })
+        (function
+          | Ok_accept { conn_fd; peer_port } -> (conn_fd, peer_port)
+          | r -> other r);
+      case strs (fun l -> Ok_dents l) (function Ok_dents l -> l | r -> other r);
+      case itimer (fun s -> Ok_itimer s)
+        (function Ok_itimer s -> s | r -> other r);
+      case errno (fun e -> Error e) (function Error e -> e | r -> other r);
+    |]
 
-let read_result r : Syscall.result =
-  match R.u8 r with
-  | 0 -> Syscall.Ok_unit
-  | 1 -> Syscall.Ok_int (R.int r)
-  | 2 -> Syscall.Ok_int64 (R.i64 r)
-  | 3 -> Syscall.Ok_data (R.str r)
-  | 4 -> Syscall.Ok_str (R.str r)
-  | 5 ->
-    let st_ino = R.int r in
-    let st_size = R.int r in
-    let st_kind =
-      match R.u8 r with
-      | 0 -> `Reg
-      | 1 -> `Dir
-      | 2 -> `Fifo
-      | 3 -> `Sock
-      | 4 -> `Special
-      | _ -> corrupt "bad stat kind"
-    in
-    Syscall.Ok_stat { st_ino; st_size; st_kind; st_mtime_ns = R.int r }
-  | 6 ->
-    let a = R.int r in
-    Syscall.Ok_pair (a, R.int r)
-  | 7 -> Syscall.Ok_poll (r_list r r_pollfd)
-  | 8 ->
-    Syscall.Ok_epoll
-      (r_list r (fun r ->
-           let ud = R.i64 r in
-           (ud, r_events r)))
-  | 9 ->
-    let conn_fd = R.int r in
-    Syscall.Ok_accept { conn_fd; peer_port = R.int r }
-  | 10 -> Syscall.Ok_dents (r_list r R.str)
-  | 11 -> Syscall.Ok_itimer (r_itimer r)
-  | 12 -> Syscall.Error (read_errno r)
-  | _ -> corrupt "bad result tag"
+let write_result = result.write
+let read_result = result.read

@@ -25,14 +25,14 @@ module W : sig
   val u8 : t -> int -> unit
   val uint : t -> int -> unit  (** LEB128; the value must be [>= 0] *)
 
-  val int : t -> int -> unit  (** zigzag + LEB128 *)
+  val int : t -> int -> unit
+  (** zigzag + LEB128; the same bytes as [i64] of [Int64.of_int] *)
 
   val i64 : t -> int64 -> unit  (** zigzag + LEB128, full 64-bit range *)
 
   val bool : t -> bool -> unit
   val str : t -> string -> unit  (** length-prefixed bytes *)
 
-  val length : t -> int
   val contents : t -> string
 end
 
@@ -56,6 +56,3 @@ val read_call : R.t -> Syscall.call
 
 val write_result : W.t -> Syscall.result -> unit
 val read_result : R.t -> Syscall.result
-
-val write_errno : W.t -> Errno.t -> unit
-val read_errno : R.t -> Errno.t

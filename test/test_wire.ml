@@ -824,6 +824,57 @@ let test_int_is_i64 () =
         (encode Syswire.W.int n))
     ([ 0; 1; -1; 64; -64; 1 lsl 61; -(1 lsl 61); max_int; min_int ] @ random)
 
+(* ------------------------------------------------------------------ *)
+(* The Sysno and Errno tables *)
+
+let test_sysno_table () =
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Sysno.to_string s) true
+        (Sysno.of_index (Sysno.index s) = Some s))
+    Sysno.all;
+  Alcotest.(check int) "slots = number of calls" Sysno.slots
+    (List.length Sysno.all);
+  Alcotest.(check bool) "none below 0" true (Sysno.of_index (-1) = None);
+  Alcotest.(check bool) "none at slots" true
+    (Sysno.of_index Sysno.slots = None);
+  let names = List.map Sysno.to_string Sysno.all in
+  Alcotest.(check int) "names distinct" (List.length names)
+    (List.length (List.sort_uniq compare names))
+
+let test_errno_table () =
+  List.iteri
+    (fun i e ->
+      Alcotest.(check int) (Errno.to_string e) i (Errno.index e);
+      Alcotest.(check bool) (Errno.to_string e) true
+        (Errno.of_index (Errno.index e) = Some e))
+    errnos;
+  let n = Array.length Errno.table in
+  Alcotest.(check int) "table covers every errno" (List.length errnos) n;
+  Alcotest.(check bool) "none below 0" true (Errno.of_index (-1) = None);
+  Alcotest.(check bool) "none at length" true (Errno.of_index n = None);
+  let names = List.map Errno.to_string errnos in
+  Alcotest.(check int) "names distinct" n
+    (List.length (List.sort_uniq compare names))
+
+(* Tags one past each table decode to [Corrupt], never an exception. *)
+let test_tag_past_table () =
+  let corrupt name read s =
+    match read (Syswire.R.of_string s) with
+    | _ -> Alcotest.failf "%s decoded" name
+    | exception Syswire.Fail (Syswire.Corrupt _) -> ()
+    | exception Syswire.Fail Syswire.Truncated ->
+      Alcotest.failf "%s: Truncated, expected Corrupt" name
+  in
+  corrupt "call tag = slots" Syswire.read_call
+    (encode Syswire.W.uint Sysno.slots);
+  corrupt "errno tag = table length" Syswire.read_result
+    (encode Syswire.W.u8 12 ^ encode Syswire.W.uint (Array.length Errno.table));
+  corrupt "ipmon_register sysno = slots" Syswire.read_call
+    (encode Syswire.W.uint (Sysno.index Sysno.Ipmon_register)
+    ^ encode Syswire.W.uint 1
+    ^ encode Syswire.W.uint Sysno.slots)
+
 let () =
   Alcotest.run "wire"
     [
@@ -854,5 +905,12 @@ let () =
             test_golden_results;
           Alcotest.test_case "encodings pinned" `Quick test_golden_bytes;
           Alcotest.test_case "int writes as i64" `Quick test_int_is_i64;
+        ] );
+      ( "tables",
+        [
+          Alcotest.test_case "sysno index and names" `Quick test_sysno_table;
+          Alcotest.test_case "errno index and names" `Quick test_errno_table;
+          Alcotest.test_case "tag past the table is corrupt" `Quick
+            test_tag_past_table;
         ] );
     ]
