@@ -35,9 +35,14 @@ type arrival = { variant : int; th : Proc.thread; call : Syscall.call }
 
 type rstate =
   | Idle
-  | Collecting of { arrivals : arrival list; count : int }
+  | Collecting of {
+      arrivals : arrival list;
+      count : int;
+      mutable watchdog : Event_queue.handle;
+    }
       (* [count = List.length arrivals], maintained so the per-arrival
-         completeness check is O(1) instead of a list walk per syscall *)
+         completeness check is O(1) instead of a list walk per syscall;
+         [watchdog] is the rank's one pending timer ([arm_watchdog]) *)
   | Master_running of { slaves : arrival list; nslaves : int }
       (* the master is executing; only the waiting slaves matter at its
          exit stop, so they are pre-split (and pre-counted) here *)
@@ -48,7 +53,6 @@ type t = {
   g : Context.group;
   kernel : Kernel.t;
   rendezvous : (int, rstate) Hashtbl.t; (* thread rank -> state *)
-  seqs : (int, int) Hashtbl.t; (* rank -> state generation, for the watchdog *)
   mutable busy_until : Vtime.t;
   deferred_signals : int Queue.t;
   watchdog_ns : Vtime.t;
@@ -75,7 +79,6 @@ let create (g : Context.group) ?(watchdog_ns = Vtime.s 10)
     g;
     kernel = g.Context.kernel;
     rendezvous = Hashtbl.create 8;
-    seqs = Hashtbl.create 8;
     busy_until = Vtime.zero;
     deferred_signals = Queue.create ();
     watchdog_ns;
@@ -96,14 +99,12 @@ let create (g : Context.group) ?(watchdog_ns = Vtime.s 10)
 let rank_state t rank =
   match Hashtbl.find_opt t.rendezvous rank with Some s -> s | None -> Idle
 
-let bump_seq t rank =
-  let s = match Hashtbl.find_opt t.seqs rank with Some s -> s | None -> 0 in
-  Hashtbl.replace t.seqs rank (s + 1);
-  s + 1
+let set_state t rank st = Hashtbl.replace t.rendezvous rank st
 
-let set_state t rank st =
-  Hashtbl.replace t.rendezvous rank st;
-  ignore (bump_seq t rank)
+(* The rank leaves [Collecting]: its watchdog has nothing left to guard. *)
+let settle t rank watchdog =
+  Event_queue.cancel watchdog;
+  set_state t rank Idle
 
 let variant_of (p : Proc.process) =
   match p.Proc.replica_info with
@@ -372,17 +373,17 @@ let purge_variant t ~variant =
     (fun rank ->
       match rank_state t rank with
       | Idle -> ()
-      | Collecting { arrivals; _ } -> (
+      | Collecting { arrivals; watchdog; _ } -> (
         let arrivals = List.filter (fun a -> a.variant <> variant) arrivals in
         match arrivals with
-        | [] -> set_state t rank Idle
+        | [] -> settle t rank watchdog
         | _ ->
           let count = List.length arrivals in
           if count >= Context.active_count t.g then begin
-            set_state t rank Idle;
+            settle t rank watchdog;
             process_rendezvous t rank arrivals
           end
-          else set_state t rank (Collecting { arrivals; count }))
+          else set_state t rank (Collecting { arrivals; count; watchdog }))
       | Master_running { slaves; _ } ->
         let slaves = List.filter (fun a -> a.variant <> variant) slaves in
         set_state t rank
@@ -401,17 +402,16 @@ let purge_variant t ~variant =
 (* Bounded retry with doubled delay: a stalled arrival (e.g. an injected
    rendezvous delay) gets [max_watchdog_retries] grace periods before the
    monitor escalates. Escalation quarantines the missing slaves when the
-   policy allows; a missing master (or a declined policy) kills the group. *)
-let rec arm_watchdog ?(attempt = 0) t rank =
-  let seq = match Hashtbl.find_opt t.seqs rank with Some s -> s | None -> 0 in
+   policy allows; a missing master (or a declined policy) kills the group.
+   Every way out of [Collecting] cancels the returned timer ([settle]). *)
+let rec arm_watchdog t rank ~attempt =
   let delay = Vtime.scale t.watchdog_ns (2. ** float_of_int attempt) in
-  Kernel.schedule t.kernel
+  Sched.schedule_at (Kernel.sched t.kernel)
     ~time:(Vtime.add (Kernel.now t.kernel) delay)
     (fun () ->
-      let cur = match Hashtbl.find_opt t.seqs rank with Some s -> s | None -> 0 in
-      if (not t.shutting_down) && cur = seq then begin
+      if not t.shutting_down then begin
         match rank_state t rank with
-        | Collecting { arrivals; _ } ->
+        | Collecting ({ arrivals; _ } as c) ->
           if attempt < t.max_watchdog_retries then begin
             t.g.Context.watchdog_retries <- t.g.Context.watchdog_retries + 1;
             obs_instant t ~ts:(Kernel.now t.kernel) ~name:"watchdog_retry"
@@ -419,7 +419,7 @@ let rec arm_watchdog ?(attempt = 0) t rank =
                 ("rank", Remon_obs.Trace.Int rank);
                 ("attempt", Remon_obs.Trace.Int attempt);
               ];
-            arm_watchdog ~attempt:(attempt + 1) t rank
+            c.watchdog <- arm_watchdog t rank ~attempt:(attempt + 1)
           end
           else begin
             obs_instant t ~ts:(Kernel.now t.kernel) ~name:"watchdog_timeout"
@@ -476,18 +476,20 @@ let rec handle_entry t (th : Proc.thread) (call : Syscall.call) =
         ];
       let arrival = { variant; th; call } in
       (match rank_state t rank with
+      | Idle when Context.active_count t.g = 1 ->
+        process_rendezvous t rank [ arrival ]
       | Idle ->
-        set_state t rank (Collecting { arrivals = [ arrival ]; count = 1 });
-        if Context.active_count t.g = 1 then process_rendezvous t rank [ arrival ]
-        else arm_watchdog t rank
-      | Collecting { arrivals; count } ->
+        let watchdog = arm_watchdog t rank ~attempt:0 in
+        set_state t rank
+          (Collecting { arrivals = [ arrival ]; count = 1; watchdog })
+      | Collecting { arrivals; count; watchdog } ->
         let arrivals = arrival :: arrivals in
         let count = count + 1 in
         if count >= Context.active_count t.g then begin
-          set_state t rank Idle;
+          settle t rank watchdog;
           process_rendezvous t rank arrivals
         end
-        else set_state t rank (Collecting { arrivals; count })
+        else set_state t rank (Collecting { arrivals; count; watchdog })
       | Master_running _ | Await_slave_exits _ | All_running _ ->
         (* a thread re-entered the kernel while its rank's previous call is
            still being processed: possible under attack; treat as sequence

@@ -150,6 +150,64 @@ let test_rendezvous_watchdog () =
   | Some v -> Alcotest.failf "wrong verdict: %s" (Divergence.to_string v)
   | None -> Alcotest.fail "watchdog did not fire"
 
+(* The same stall with [nreplicas] replicas and [spinner] the one that
+   stops making syscalls. The others arrive one by one: the watchdog armed
+   at the first arrival must survive the partial arrivals. *)
+let watchdog_stall ~nreplicas ~spinner =
+  let kernel = Kernel.create () in
+  let config =
+    { (ghumvee ()) with Mvee.watchdog_ns = Vtime.ms 50; nreplicas }
+  in
+  let body (env : Mvee.env) =
+    ignore (sys Syscall.Getpid);
+    if env.Mvee.variant = spinner then Sched.compute (Vtime.s 3600)
+    else ignore (sys Syscall.Gettimeofday)
+  in
+  let h = Mvee.launch kernel config ~name:"watchdog" ~body in
+  Kernel.run ~until:(Vtime.s 7200) kernel;
+  Mvee.finish h
+
+let test_watchdog_three_replicas spinner () =
+  let two = watchdog_stall ~nreplicas:2 ~spinner:1 in
+  let o = watchdog_stall ~nreplicas:3 ~spinner in
+  (match o.Mvee.verdict with
+  | Some (Divergence.Rendezvous_timeout { missing; _ }) ->
+    Alcotest.(check (list int)) "spinner missing" [ spinner ] missing
+  | Some v -> Alcotest.failf "wrong verdict: %s" (Divergence.to_string v)
+  | None -> Alcotest.fail "watchdog did not fire");
+  (* 50 + 100 + 200 ms of watchdog grace after the arrivals at ~11 us; the
+     replicas' start-up clocks differ by a nanosecond or so *)
+  let us (o : Mvee.outcome) = Vtime.to_int_ns o.Mvee.duration / 1000 in
+  Alcotest.(check (float 1.)) "2-replica verdict time (us)" 350_010.
+    (float_of_int (us two));
+  Alcotest.(check (float 1.)) "same verdict time as 2 replicas (us)"
+    (float_of_int (us two)) (float_of_int (us o))
+
+(* One pending watchdog per rank at most: a long lockstep loop leaves no
+   trail of timers in the scheduler, and once the program ends nothing is
+   left to pop. *)
+let test_watchdog_cap () =
+  let kernel = Kernel.create () in
+  let body (_ : Mvee.env) =
+    for _ = 1 to 2000 do
+      ignore (sys Syscall.Gettimeofday)
+    done
+  in
+  let h = Mvee.launch kernel (ghumvee ()) ~name:"cap" ~body in
+  Kernel.run ~until:(Vtime.ms 20) kernel;
+  let pending = Event_queue.length (Kernel.sched kernel).Sched.events in
+  (* two replica threads, one watchdog on the one rank, a kick *)
+  if pending > 4 then
+    Alcotest.failf "%d events pending mid-run, expected at most 4" pending;
+  Kernel.run kernel;
+  let o = Mvee.finish h in
+  (match o.Mvee.verdict with
+  | None -> ()
+  | Some v -> Alcotest.failf "verdict: %s" (Divergence.to_string v));
+  Alcotest.(check int) "the run ends at the master's exit"
+    (Vtime.to_int_ns o.Mvee.duration)
+    (Vtime.to_int_ns (Kernel.now kernel))
+
 (* RB overflow: a tiny buffer forces GHUMVEE-arbitrated resets, and the
    run still completes correctly. *)
 let test_rb_overflow_end_to_end () =
@@ -291,6 +349,11 @@ let () =
         [
           tc "exit code mismatch" `Quick test_exit_code_mismatch;
           tc "rendezvous watchdog" `Quick test_rendezvous_watchdog;
+          tc "watchdog, 3 replicas, variant 1 stalls" `Quick
+            (test_watchdog_three_replicas 1);
+          tc "watchdog, 3 replicas, variant 2 stalls" `Quick
+            (test_watchdog_three_replicas 2);
+          tc "one pending watchdog per rank" `Quick test_watchdog_cap;
         ] );
       ( "epoll",
         [
